@@ -209,10 +209,11 @@ def parse_matrix(path):
 def write_matrix_csv(path, m):
     """Write a matrix as dense CSV at 17 significant digits."""
     m = np.asarray(m, dtype=float)
+    # one printf-style format per row; "%.17g" prints the same digits as _fmt
+    row_fmt = ",".join(["%.17g"] * m.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        for row in m:
-            fh.write(",".join(_fmt(x) for x in row))
-            fh.write("\n")
+        for row in m.tolist():
+            fh.write(row_fmt % tuple(row))
 
 
 _CONFIG_KEYS = {

@@ -112,6 +112,21 @@ def check_orthonormal(u, tol=1e-8, name="basis"):
     return u
 
 
+def _spectrum(m):
+    """Eigenvalues of ``m`` descending (stable on ties) and their eigenvectors.
+
+    No checks and no sign convention: ``m`` must already be finite and
+    exactly symmetric. This is the eigensolve of the solvers' inner loops,
+    whose rebuild ``(V * w) @ V.T`` does not depend on column signs.
+    """
+    try:
+        vals, vecs = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise EigenSolverError(f"eig_sym: solver did not converge ({exc})") from None
+    order = (-vals).argsort(kind="stable")
+    return vals[order], vecs[:, order]
+
+
 def eig_sym(m):
     """Full eigendecomposition of an exactly symmetric matrix.
 
@@ -134,14 +149,7 @@ def eig_sym(m):
     EigenSolverError
         The underlying solver did not converge.
     """
-    m = _as_sym(m, "eig_sym")
-    try:
-        vals, vecs = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolverError(f"eig_sym: solver did not converge ({exc})") from None
-    order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    vecs = vecs[:, order]
+    vals, vecs = _spectrum(_as_sym(m, "eig_sym"))
     # orient each eigenvector: largest |entry| positive, first such entry on ties
     lead = np.argmax(np.abs(vecs), axis=0)
     flip = vecs[lead, np.arange(vecs.shape[1])] < 0.0

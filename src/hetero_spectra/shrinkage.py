@@ -3,13 +3,20 @@
 These are the per-iteration building blocks of the solvers: nuclear-norm
 proximal maps (with and without a positive-semidefinite restriction) and
 best rank-r approximations (signed and PSD-restricted).
+
+The public functions validate their input. The private operators
+(``_psd_soft``, ``_sym_soft``, ``_rank``, ``_rank_psd`` and the dispatch
+``_prox_with_spectrum``) assume a validated, finite, exactly symmetric
+matrix and, for the rank kinds, ``r <= p``; they check nothing, because
+the solvers call them on every iteration after checking once at entry.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import eig_sym, symmetrize
+# eig_sym stays importable here: perfbench/tracer.py patches this attribute
+from .matcore import _as_square, _as_sym, _spectrum, eig_sym  # noqa: F401
 
 __all__ = [
     "ProxSpec",
@@ -49,6 +56,8 @@ class ProxSpec:
                 raise ValueError("ProxSpec: rank kinds need integer r >= 1")
             if self.tau is not None:
                 raise ValueError("ProxSpec: tau is not accepted for rank kinds")
+            # the operators slice by r, so keep it a Python int (r=2.0 is accepted)
+            object.__setattr__(self, "r", int(self.r))
 
     @classmethod
     def psd_soft(cls, tau):
@@ -72,7 +81,8 @@ def _rebuild(vecs, vals):
     # exact zero matrix, not a rounded one
     if vals.size == 0:
         return np.zeros((vecs.shape[0], vecs.shape[0]))
-    return symmetrize((vecs * vals) @ vecs.T)
+    x = (vecs * vals) @ vecs.T
+    return (x + x.T) / 2.0
 
 
 def _check_tau(tau):
@@ -92,29 +102,29 @@ def _check_rank(r, p):
 
 
 def _psd_soft(m, tau):
-    vals, vecs = eig_sym(m)
+    vals, vecs = _spectrum(m)
     keep = vals > tau
     w = vals[keep] - tau
     return _rebuild(vecs[:, keep], w), w
 
 
 def _sym_soft(m, tau):
-    vals, vecs = eig_sym(m)
+    vals, vecs = _spectrum(m)
     keep = np.abs(vals) > tau
     w = np.sign(vals[keep]) * (np.abs(vals[keep]) - tau)
     return _rebuild(vecs[:, keep], w), w
 
 
 def _rank(m, r):
-    vals, vecs = eig_sym(m)
+    vals, vecs = _spectrum(m)
     # top r by magnitude; stable sort keeps the descending signed order on ties
-    order = np.argsort(-np.abs(vals), kind="stable")[:r]
+    order = (-np.abs(vals)).argsort(kind="stable")[:r]
     w = vals[order]
     return _rebuild(vecs[:, order], w), w
 
 
 def _rank_psd(m, r):
-    vals, vecs = eig_sym(m)
+    vals, vecs = _spectrum(m)
     # top r of the signed spectrum, negative ones clipped to zero
     w = np.maximum(vals[:r], 0.0)
     keep = w > 0.0
@@ -138,7 +148,8 @@ def soft_threshold_psd(m, tau):
     -------
     (p, p) ndarray, PSD.
     """
-    return _psd_soft(m, _check_tau(tau))[0]
+    tau = _check_tau(tau)
+    return _psd_soft(_as_sym(m, "soft_threshold_psd"), tau)[0]
 
 
 def soft_threshold_sym(m, tau):
@@ -148,7 +159,8 @@ def soft_threshold_sym(m, tau):
     form of singular-value soft-thresholding, the minimizer of
     ``tau*||X||_* + 0.5*||X - m||_F^2`` over symmetric X.
     """
-    return _sym_soft(m, _check_tau(tau))[0]
+    tau = _check_tau(tau)
+    return _sym_soft(_as_sym(m, "soft_threshold_sym"), tau)[0]
 
 
 def best_rank_r(m, r):
@@ -157,10 +169,8 @@ def best_rank_r(m, r):
     Keeps the ``r`` eigenvalues of largest magnitude together with their
     eigenvectors.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"best_rank_r: expected a square matrix, got shape {m.shape}")
-    return _rank(m, _check_rank(r, m.shape[0]))[0]
+    r = _check_rank(r, _as_square(m, "best_rank_r").shape[0])
+    return _rank(_as_sym(m, "best_rank_r"), r)[0]
 
 
 def best_rank_r_psd(m, r):
@@ -169,25 +179,30 @@ def best_rank_r_psd(m, r):
     Keeps the ``r`` algebraically largest eigenvalues and clips them at
     zero, e.g. diag(3, -5, 1) with r=2 maps to diag(3, 0, 1).
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"best_rank_r_psd: expected a square matrix, got shape {m.shape}")
-    return _rank_psd(m, _check_rank(r, m.shape[0]))[0]
+    r = _check_rank(r, _as_square(m, "best_rank_r_psd").shape[0])
+    return _rank_psd(_as_sym(m, "best_rank_r_psd"), r)[0]
 
 
 def _prox_with_spectrum(spec, m):
-    """Apply ``spec`` to ``m``; also return the kept eigenvalues of the output."""
+    """Apply ``spec`` to ``m``; also return the kept eigenvalues of the output.
+
+    Unchecked: ``m`` is finite and exactly symmetric, and a rank kind's
+    ``r`` is at most ``p``.
+    """
     if spec.kind == "psd_soft":
         return _psd_soft(m, spec.tau)
     if spec.kind == "sym_soft":
         return _sym_soft(m, spec.tau)
     if spec.kind == "rank":
-        return _rank(m, _check_rank(spec.r, m.shape[0]))
-    return _rank_psd(m, _check_rank(spec.r, m.shape[0]))
+        return _rank(m, spec.r)
+    return _rank_psd(m, spec.r)
 
 
 def apply_prox(spec, m):
     """Apply the operator described by a :class:`ProxSpec` to ``m``."""
     if not isinstance(spec, ProxSpec):
         raise ValueError("apply_prox: spec must be a ProxSpec")
-    return _prox_with_spectrum(spec, np.asarray(m, dtype=float))[0]
+    m = np.asarray(m, dtype=float)
+    if spec.r is not None:
+        _check_rank(spec.r, m.shape[0])
+    return _prox_with_spectrum(spec, _as_sym(m, "apply_prox"))[0]

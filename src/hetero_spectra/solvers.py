@@ -8,12 +8,13 @@ update. The named solvers (``rmtfa``, ``soft_impute_diag``,
 iterations on the hollowed matrix directly.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .matcore import _as_sym, eig_sym, pdiag, poffdiag, nuclear_norm_sym
-from .shrinkage import ProxSpec, _prox_with_spectrum, best_rank_r
+from .shrinkage import ProxSpec, _check_rank, _prox_with_spectrum, _rank, best_rank_r
 
 __all__ = [
     "StopRule",
@@ -59,6 +60,8 @@ class StopRule:
             raise ValueError(f"StopRule: rel_tol must be finite and > 0, got {self.rel_tol}")
         if int(self.max_iter) != self.max_iter or self.max_iter < 1:
             raise ValueError(f"StopRule: max_iter must be an integer >= 1, got {self.max_iter}")
+        # max_iter=10.0 is accepted; the loop needs the int
+        object.__setattr__(self, "max_iter", int(self.max_iter))
 
 
 @dataclass
@@ -91,30 +94,38 @@ class Decomposition:
     iterations: int
 
 
-def _as_diag_matrix(d, p, name="d0"):
+def _diag_vector(d, p, name="d0"):
+    """Validate a diagonal given as a length-p vector or a (p, p) diagonal matrix.
+
+    Returns it as a length-p vector.
+    """
     d = np.asarray(d, dtype=float)
     if d.ndim == 1:
         if d.shape[0] != p:
             raise ValueError(f"{name}: expected length {p}, got {d.shape[0]}")
-        out = np.zeros((p, p))
-        np.fill_diagonal(out, d)
-        d = out
     elif d.shape != (p, p):
         raise ValueError(f"{name}: expected shape ({p}, {p}), got {d.shape}")
-    else:
-        d = d.copy()
     if not np.all(np.isfinite(d)):
         raise ValueError(f"{name}: non-finite entries")
-    if np.any(poffdiag(d) != 0.0):
-        raise ValueError(f"{name}: off-diagonal entries must be exactly zero")
+    if d.ndim == 2:
+        if np.any(poffdiag(d) != 0.0):
+            raise ValueError(f"{name}: off-diagonal entries must be exactly zero")
+        d = np.diagonal(d)
     return d
+
+
+def _fro(x):
+    # np.linalg.norm(x) for a real array, computed the same way (square root
+    # of the dot product of the flattened entries) without its dispatch
+    v = x.ravel(order="K")
+    return math.sqrt(v.dot(v))
 
 
 def _penalty(prox, kept):
     if prox.kind == "psd_soft":
-        return prox.tau * float(np.sum(kept))
+        return prox.tau * float(kept.sum())
     if prox.kind == "sym_soft":
-        return prox.tau * float(np.sum(np.abs(kept)))
+        return prox.tau * float(np.abs(kept).sum())
     return 0.0  # rank constraints enter as indicators
 
 
@@ -125,7 +136,7 @@ def objective_F(sigma, L, D, tau):
     """
     sigma = _as_sym(sigma, "objective_F")
     L = _as_sym(L, "objective_F: L")
-    D = _as_diag_matrix(D, sigma.shape[0], "objective_F: D")
+    D = np.diag(_diag_vector(D, sigma.shape[0], "objective_F: D"))
     if L.shape != sigma.shape:
         raise ValueError("objective_F: L shape does not match sigma")
     tau = float(tau)
@@ -140,6 +151,14 @@ def alternating_solve(sigma, prox, d0=None, stop=None, keep_iterates=False):
     Repeats ``L_k = prox(sigma - D_{k-1})`` and ``D_k = pdiag(sigma - L_k)``
     until the stop rule fires. Each half-step is an exact minimization of
     the objective in one block, so the recorded objective never increases.
+
+    The arguments are checked once, on entry. The loop then holds ``D`` as
+    its length-p diagonal and calls the unchecked private operators of
+    :mod:`hetero_spectra.shrinkage`, which assume a finite, exactly
+    symmetric matrix. ``sigma - D`` is exactly symmetric by construction and
+    its off-diagonal entries are ``sigma``'s, so only its diagonal is checked
+    for finiteness on each iteration; a non-finite entry raises
+    ``ValueError``.
 
     Parameters
     ----------
@@ -176,18 +195,30 @@ def alternating_solve(sigma, prox, d0=None, stop=None, keep_iterates=False):
         trace = SolverTrace([0.0], [0.0], [0.0], True, 0, [zero.copy()] if keep_iterates else None)
         return Decomposition(zero, zero.copy(), method, param, True, 0), trace
 
-    D = pdiag(sigma) if d0 is None else _as_diag_matrix(d0, p)
+    sigma_diag = np.diagonal(sigma).copy()
+    d = sigma_diag if d0 is None else _diag_vector(d0, p)
+    if prox.r is not None:
+        _check_rank(prox.r, p)
+    M = sigma.copy()  # sigma - diag(d): only its diagonal changes
+    m_diag = M.reshape(-1)[:: p + 1]
     L_prev = np.zeros_like(sigma)
+    prev_norm = 0.0
     trace = SolverTrace(iterates=[] if keep_iterates else None)
     converged = False
     L = L_prev
     for k in range(1, stop.max_iter + 1):
-        L, kept = _prox_with_spectrum(prox, sigma - D)
-        R = sigma - L
-        D = pdiag(R)
-        psi = float(np.sum(poffdiag(R) ** 2))
-        prev_norm = float(np.linalg.norm(L_prev))
-        resid = float(np.linalg.norm(L - L_prev))
+        np.subtract(sigma_diag, d, out=m_diag)
+        if not np.isfinite(m_diag).all():
+            raise ValueError("alternating_solve: sigma - D has non-finite entries")
+        L, kept = _prox_with_spectrum(prox, M)
+        # C order: the diagonal view below writes into R, and R is summed
+        # in the order of poffdiag's C-order copy
+        R = np.subtract(sigma, L, order="C")
+        r_diag = R.reshape(-1)[:: p + 1]
+        d = r_diag.copy()
+        r_diag[:] = 0.0  # R is now poffdiag(sigma - L)
+        psi = float((R**2).sum())
+        resid = _fro(L - L_prev)
         trace.objective.append(_penalty(prox, kept) + 0.5 * psi)
         trace.fixed_point_residual.append(resid)
         trace.psi.append(psi)
@@ -197,6 +228,7 @@ def alternating_solve(sigma, prox, d0=None, stop=None, keep_iterates=False):
         if resid <= stop.rel_tol * max(1.0, prev_norm):
             converged = True
             break
+        prev_norm = _fro(L)
     trace.converged = converged
     trace.iterations = k
     # post-check: each half-step minimizes its block exactly, so the
@@ -207,7 +239,7 @@ def alternating_solve(sigma, prox, d0=None, stop=None, keep_iterates=False):
             raise RuntimeError(
                 f"alternating_solve: objective increased from {f_prev!r} to {f_next!r}"
             )
-    return Decomposition(L, D, method, param, converged, k), trace
+    return Decomposition(L, np.diag(d), method, param, converged, k), trace
 
 
 def _check_tau_positive(tau, op):
@@ -262,7 +294,9 @@ def heteropca(sigma, r, t_max=30, g0=None, keep_iterates=False):
         ``G_t = poffdiag(G_{t-1}) + pdiag(L_t)``,
 
     so the off-diagonal of G never changes and the diagonal is refilled
-    from the current low-rank fit.
+    from the current low-rank fit. The arguments are checked once, on
+    entry; the rounds call the unchecked rank-r operator and check only
+    the refilled diagonal for finiteness.
 
     Returns
     -------
@@ -279,10 +313,15 @@ def heteropca(sigma, r, t_max=30, g0=None, keep_iterates=False):
         if G.shape != sigma.shape:
             raise ValueError("heteropca: g0 shape does not match sigma")
         G = G.copy()
+    r = _check_rank(r, sigma.shape[0])
     iterates = [] if keep_iterates else None
     L = np.zeros_like(sigma)
-    for _ in range(t_max):
-        L = best_rank_r(G, r)
+    for t in range(t_max):
+        # G keeps its checked off-diagonal; only the refilled diagonal can
+        # turn non-finite
+        if t and not np.isfinite(np.diagonal(G)).all():
+            raise ValueError("heteropca: imputed diagonal has non-finite entries")
+        L = _rank(G, r)[0]
         G = poffdiag(G) + pdiag(L)
         if keep_iterates:
             iterates.append(L.copy())

@@ -86,6 +86,21 @@ def test_matrix_round_trip(tmp_path):
     assert np.max(np.abs(got - m)) <= 1e-15 * max(1.0, float(np.max(np.abs(m))))
 
 
+def test_write_matrix_csv_matches_per_element_format(tmp_path):
+    m = np.array(
+        [
+            [-0.0, 5e-324, 1e308, 1.0 / 3.0],
+            [0.0, 2.0, -7.0, 1e-300],
+            [-1e308, 0.1, 123456789.0, -5e-324],
+        ]
+    )
+    path = tmp_path / "m.csv"
+    write_matrix_csv(str(path), m)
+    expected = "".join(",".join(format(x, ".17g") for x in row) + "\n" for row in m)
+    assert path.read_text(encoding="utf-8") == expected
+    assert expected.startswith("-0,4.9406564584124654e-324,1e+308,0.33333333333333331\n")
+
+
 def test_parse_asymmetric_rejected_names_pair(tmp_path):
     path = write(tmp_path / "m.csv", "1,1.001\n1,1\n")
     with pytest.raises(ParseError) as exc:

@@ -191,6 +191,13 @@ def test_prox_spec_validation():
         ProxSpec("rank", r=2, tau=1.0)
     with pytest.raises(ValueError):
         apply_prox("rank", np.eye(2))
+    with pytest.raises(ValueError):
+        apply_prox(ProxSpec.rank(3), np.eye(2))
+    # an integral float rank is accepted and stored as an int
+    spec = ProxSpec("rank_psd", r=2.0)
+    assert spec.r == 2 and isinstance(spec.r, int)
+    m = np.diag([3.0, -5.0, 1.0])
+    assert np.array_equal(apply_prox(spec, m), best_rank_r_psd(m, 2))
 
 
 def test_psd_soft_nonexpansive():

@@ -29,7 +29,7 @@ from hetero_spectra import (
     spike_pca_sin_theta,
     symmetrize,
 )
-from oracles import objective_scalar
+from oracles import alternating_reference, objective_scalar
 
 
 def random_sym(rng, p):
@@ -153,6 +153,107 @@ def test_stop_rule_validation():
         StopRule(rel_tol=-1e-10)
     with pytest.raises(ValueError):
         StopRule(max_iter=0)
+
+
+def test_stop_rule_integral_float_max_iter_runs():
+    stop = StopRule(max_iter=10.0)
+    assert stop.max_iter == 10 and isinstance(stop.max_iter, int)
+    sigma = random_corr(np.random.default_rng(45), 12)
+    dec, trace = rmtfa(sigma, 1e-3, stop=stop)
+    assert dec.iterations == trace.iterations == 10
+    assert not dec.converged and len(trace.objective) == 10
+
+
+def _bits(x):
+    a = np.asarray(x, dtype=float)
+    return a.shape, a.tobytes()
+
+
+def _block_diag_repeated():
+    # two identical blocks: every eigenvalue appears twice
+    a = random_corr(np.random.default_rng(46), 3)
+    out = np.zeros((6, 6))
+    out[:3, :3] = a
+    out[3:, 3:] = a
+    return out
+
+
+_PIN_SIGMAS = {
+    "p1": lambda: np.array([[2.0]]),
+    "p12": lambda: random_corr(np.random.default_rng(47), 12),
+    "block": _block_diag_repeated,
+}
+_PIN_SPECS = {
+    "psd_soft": ProxSpec.psd_soft(0.01),
+    "sym_soft": ProxSpec.sym_soft(0.01),
+    "rank": ProxSpec.rank(1),
+    "rank_psd": ProxSpec.rank_psd(1),
+}
+
+
+@pytest.mark.parametrize("d0_form", ["none", "vector", "matrix"])
+@pytest.mark.parametrize("kind", list(_PIN_SPECS))
+@pytest.mark.parametrize("case", list(_PIN_SIGMAS))
+def test_alternating_solve_bitwise_matches_plain_loop(case, kind, d0_form):
+    sigma = _PIN_SIGMAS[case]()
+    p = sigma.shape[0]
+    d0_vec = 0.5 * np.diagonal(sigma) + np.linspace(0.0, 0.1, p)
+    d0 = {"none": None, "vector": d0_vec, "matrix": np.diag(d0_vec)}[d0_form]
+    spec = _PIN_SPECS[kind]
+    param = spec.tau if spec.tau is not None else spec.r
+    stop = StopRule(rel_tol=1e-10, max_iter=400)
+    dec, trace = alternating_solve(sigma, spec, d0=d0, stop=stop, keep_iterates=True)
+    ref = alternating_reference(sigma, kind, param, d0, 1e-10, 400, keep_iterates=True)
+    assert dec.iterations == trace.iterations == ref["iterations"]
+    assert dec.converged == trace.converged == ref["converged"]
+    assert _bits(dec.L) == _bits(ref["L"])
+    assert _bits(dec.D) == _bits(ref["D"])
+    for name in ("objective", "fixed_point_residual", "psi"):
+        assert _bits(getattr(trace, name)) == _bits(ref[name]), name
+    assert len(trace.iterates) == len(ref["iterates"])
+    for got, want in zip(trace.iterates, ref["iterates"]):
+        assert _bits(got) == _bits(want)
+
+
+def test_alternating_nonfinite_iterate_raises(monkeypatch):
+    from hetero_spectra import solvers
+
+    real = solvers._prox_with_spectrum
+    calls = []
+
+    def poisoned(spec, m):
+        L, kept = real(spec, m)
+        calls.append(1)
+        if len(calls) == 2:
+            L = L.copy()
+            np.fill_diagonal(L, np.inf)
+        return L, kept
+
+    monkeypatch.setattr(solvers, "_prox_with_spectrum", poisoned)
+    sigma = random_corr(np.random.default_rng(48), 8)
+    with pytest.raises(ValueError):
+        alternating_solve(sigma, ProxSpec.psd_soft(1e-3))
+    assert len(calls) == 2
+
+
+def test_heteropca_nonfinite_round_raises(monkeypatch):
+    from hetero_spectra import solvers
+
+    real = solvers._rank
+    calls = []
+
+    def poisoned(m, r):
+        L, kept = real(m, r)
+        calls.append(1)
+        L = L.copy()
+        np.fill_diagonal(L, np.nan)
+        return L, kept
+
+    monkeypatch.setattr(solvers, "_rank", poisoned)
+    sigma = random_corr(np.random.default_rng(49), 8)
+    with pytest.raises(ValueError):
+        heteropca(sigma, 2)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------- rmtfa
