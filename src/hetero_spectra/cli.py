@@ -29,6 +29,7 @@ from .shrinkage import ProxSpec, apply_prox, best_rank_r
 from .simlab import METHOD_TAGS, ExperimentConfig, run_experiment
 from .solvers import (
     _heteropca_psd_run,
+    _numerical_rank,
     deflated_heteropca,
     diag_deleted_pca,
     heteropca,
@@ -360,6 +361,13 @@ def cmd_solve(args):
                 trace.psi,
             )
         )
+        # the last step's objective and kept spectrum are the returned
+        # pair's, since D = pdiag(sigma - L): no eigensolve needed here
+        objective = trace.objective[-1]
+        rank_L = _numerical_rank(trace.kept)
+    else:
+        objective = objective_F(sigma, dec.L, dec.D, 0.0)
+        rank_L = numerical_rank_sym(dec.L)
     if soft:
         kind = ProxSpec.psd_soft(param) if method == "rmtfa" else ProxSpec.sym_soft(param)
         fixed_point = float(np.linalg.norm(dec.L - apply_prox(kind, sigma - dec.D)))
@@ -372,18 +380,19 @@ def cmd_solve(args):
         for k, obj, resid, psi in trace_rows:
             fh.write(f"{k},{_fmt(obj)},{_fmt(resid)},{_fmt(psi)}\n")
 
-    tau_term = param if soft else 0.0
     summary = {
         "method": method,
         "param": param,
         "p": p,
-        "objective": objective_F(sigma, dec.L, dec.D, tau_term),
+        "objective": objective,
         "psi": float(np.sum((sigma - dec.L - dec.D) ** 2)),
-        "rank_L": numerical_rank_sym(dec.L),
+        "rank_L": rank_L,
         "heywood": heywood_check(dec),
         "converged": bool(dec.converged),
         "iterations": int(dec.iterations),
     }
+    if trace is not None:
+        summary["stop_reason"] = trace.stop_reason
     if fixed_point is not None:
         summary["fixed_point_residual"] = fixed_point
     with open(os.path.join(args.out, "summary.json"), "w", encoding="utf-8") as fh:

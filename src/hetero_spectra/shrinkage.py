@@ -9,9 +9,15 @@ The public functions validate their input. The private operators
 ``_prox_with_spectrum``) assume a validated, finite, exactly symmetric
 matrix and, for the rank kinds, ``r <= p``; they check nothing, because
 the solvers call them on every iteration after checking once at entry.
+
+At large p the ``psd_soft`` kind keeps few eigenpairs, so the dispatch can
+take a certified partial-spectrum step (``_psd_soft_partial``) instead of
+the full eigensolve, warm-started from the previous step's eigenvectors.
 """
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,7 +111,7 @@ def _psd_soft(m, tau):
     vals, vecs = _spectrum(m)
     keep = vals > tau
     w = vals[keep] - tau
-    return _rebuild(vecs[:, keep], w), w
+    return _rebuild(vecs[:, keep], w), w, vecs
 
 
 def _sym_soft(m, tau):
@@ -183,19 +189,131 @@ def best_rank_r_psd(m, r):
     return _rank_psd(_as_sym(m, "best_rank_r_psd"), r)[0]
 
 
-def _prox_with_spectrum(spec, m):
+# The partial-spectrum step of psd_soft. It runs from this p on (the
+# crossover measured against a full eigh, one BLAS thread), when the kept
+# count plus _OVERSAMPLE is at most p/8.
+_PARTIAL_MIN_P = 128
+_OVERSAMPLE = 8
+# subspace-iteration steps allowed before falling back to the full eigh
+_PARTIAL_STEPS = 10
+# kept Ritz residual allowed, and the margin by which every eigenvalue must
+# clear tau, both relative to ||m||_F
+_PARTIAL_TOL = 1e-13
+
+
+class _Step(NamedTuple):
+    """How a low-rank step was taken, and the warm start for the next one.
+
+    ``partial`` is true when the output came from the certified
+    partial-spectrum step. ``basis`` is the orthonormal block the next
+    ``psd_soft`` step may start from, or None when that step must run the
+    full eigensolve.
+    """
+
+    partial: bool
+    basis: np.ndarray | None
+
+
+_FULL_STEP = _Step(False, None)
+
+
+def _warm_basis(vecs, kept):
+    """Leading ``kept + _OVERSAMPLE`` columns of ``vecs`` when the gate admits them."""
+    p = vecs.shape[0]
+    b = kept + _OVERSAMPLE
+    if p < _PARTIAL_MIN_P or 8 * b > p or b > vecs.shape[1]:
+        return None
+    return np.ascontiguousarray(vecs[:, :b])
+
+
+def _psd_soft_partial(m, tau, basis):
+    """``_psd_soft`` from a few eigenpairs, or None when it cannot be certified.
+
+    Block subspace iteration with Rayleigh-Ritz, started from ``basis``.
+    Let ``Y`` hold the Ritz vectors whose Ritz values ``theta`` exceed tau
+    and ``P = I - Y Y^T``. The step is accepted only when
+
+    - the kept residual ``R = m Y - Y diag(theta)`` has
+      ``||R||_F <= _PARTIAL_TOL * ||m||_F``, and
+    - ``(tau - delta) I - P m P`` has a Cholesky factor, with
+      ``delta = _PARTIAL_TOL * ||m||_F``, so every eigenvalue of ``m`` off
+      ``span(Y)`` lies below tau by a margin,
+
+    and no kept Ritz value lies within ``delta`` of tau. Then
+    ``m' = Y diag(theta) Y^T + P m P`` is within ``sqrt(2) ||R||_F`` of ``m``
+    and its prox is the Ritz rebuild, so the output is within that distance
+    of ``_psd_soft(m, tau)`` (the prox is 1-Lipschitz). It returns None when
+    the residual is not reached in ``_PARTIAL_STEPS`` steps, when every Ritz
+    value of the block exceeds tau, or when a test above fails.
+    """
+    eigh = np.linalg.eigh  # looked up per call, like _spectrum's
+    tol = _PARTIAL_TOL * math.sqrt(float(np.vdot(m, m)))
+    y = basis
+    my = m @ y
+    prev = math.inf
+    for left in range(_PARTIAL_STEPS - 1, -1, -1):
+        h = y.T @ my
+        theta, s = eigh((h + h.T) / 2.0)
+        theta, s = theta[::-1], s[:, ::-1]  # descending
+        y = y @ s
+        my = my @ s
+        k = int(np.count_nonzero(theta > tau))
+        if k == theta.size:
+            return None
+        r = my[:, :k] - y[:, :k] * theta[:k]
+        res = math.sqrt(float(np.vdot(r, r)))
+        if res <= tol:
+            break
+        # give up early when the observed rate cannot reach tol in the steps left
+        rate = res / prev
+        if rate >= 1.0 or res * rate**left > tol:
+            return None
+        prev = res
+        y = np.linalg.qr(my)[0]
+        my = m @ y
+    else:
+        return None
+    if k and theta[k - 1] <= tau + tol:
+        return None
+    yk, myk = y[:, :k], my[:, :k]
+    # (tau - delta) I - P m P, with P m P = m - (yk c^T + c yk^T) and
+    # c = m yk - yk (yk^T m yk) / 2
+    c = myk - yk @ (yk.T @ myk) / 2.0
+    a = yk @ c.T
+    a += a.T
+    a -= m
+    a.reshape(-1)[:: m.shape[0] + 1] += tau - tol
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return None
+    w = theta[:k] - tau
+    return _rebuild(yk, w), w, _Step(True, _warm_basis(y, k))
+
+
+def _prox_with_spectrum(spec, m, basis=None):
     """Apply ``spec`` to ``m``; also return the kept eigenvalues of the output.
+
+    Returns ``(L, kept, step)``, with ``step`` a :class:`_Step`. For the
+    ``psd_soft`` kind, ``basis`` (the ``step.basis`` of the previous call)
+    makes it try the certified partial-spectrum step first; without one,
+    or when that step cannot be certified, it runs the full eigensolve.
 
     Unchecked: ``m`` is finite and exactly symmetric, and a rank kind's
     ``r`` is at most ``p``.
     """
     if spec.kind == "psd_soft":
-        return _psd_soft(m, spec.tau)
+        if basis is not None:
+            out = _psd_soft_partial(m, spec.tau, basis)
+            if out is not None:
+                return out
+        L, kept, vecs = _psd_soft(m, spec.tau)
+        return L, kept, _Step(False, _warm_basis(vecs, kept.size))
     if spec.kind == "sym_soft":
-        return _sym_soft(m, spec.tau)
+        return (*_sym_soft(m, spec.tau), _FULL_STEP)
     if spec.kind == "rank":
-        return _rank(m, spec.r)
-    return _rank_psd(m, spec.r)
+        return (*_rank(m, spec.r), _FULL_STEP)
+    return (*_rank_psd(m, spec.r), _FULL_STEP)
 
 
 def apply_prox(spec, m):

@@ -72,6 +72,13 @@ class SolverTrace:
     ``objective`` is the penalized fit, non-increasing along the run;
     ``fixed_point_residual`` is ``||L_k - L_{k-1}||_F`` (with ``L_0 = 0``);
     ``psi`` is the squared residual ``||Sigma - (L_k + D_k)||_F^2``.
+
+    ``stop_reason`` is ``"converged"`` (the stop rule's tolerance was met),
+    ``"fixed_point"`` (``L_k == L_{k-1}`` exactly) or ``"max_iter"``.
+    ``kept`` holds the kept eigenvalues of the last low-rank step, which are
+    the nonzero eigenvalues of the returned ``L``. ``partial_accepted`` and
+    ``partial_fallbacks`` count the certified partial-spectrum steps taken
+    and the ones that fell back to the full eigensolve.
     """
 
     objective: list = field(default_factory=list)
@@ -80,6 +87,10 @@ class SolverTrace:
     converged: bool = False
     iterations: int = 0
     iterates: list | None = None
+    stop_reason: str = ""
+    kept: np.ndarray | None = None
+    partial_accepted: int = 0
+    partial_fallbacks: int = 0
 
 
 @dataclass
@@ -160,6 +171,15 @@ def alternating_solve(sigma, prox, d0=None, stop=None, keep_iterates=False):
     for finiteness on each iteration; a non-finite entry raises
     ``ValueError``.
 
+    For ``psd_soft`` at large p with few kept eigenpairs, iterations after
+    the first may take the certified partial-spectrum step of
+    :mod:`hetero_spectra.shrinkage`, warm-started from the previous step.
+    The last iteration is always a full-eigensolve step: when the stop rule
+    fires on a partial step (or the cap is reached), that step is redone
+    with the full operator on the same ``sigma - D``, ``D`` is refitted from
+    it and the stop rule is tested again. The returned pair and the trace's
+    last row therefore come from the full operator.
+
     Parameters
     ----------
     sigma : (p, p) ndarray
@@ -193,6 +213,8 @@ def alternating_solve(sigma, prox, d0=None, stop=None, keep_iterates=False):
         # degenerate zero input: nothing to fit
         zero = np.zeros_like(sigma)
         trace = SolverTrace([0.0], [0.0], [0.0], True, 0, [zero.copy()] if keep_iterates else None)
+        trace.stop_reason = "fixed_point"
+        trace.kept = np.zeros(0)
         return Decomposition(zero, zero.copy(), method, param, True, 0), trace
 
     sigma_diag = np.diagonal(sigma).copy()
@@ -203,14 +225,25 @@ def alternating_solve(sigma, prox, d0=None, stop=None, keep_iterates=False):
     m_diag = M.reshape(-1)[:: p + 1]
     L_prev = np.zeros_like(sigma)
     prev_norm = 0.0
-    trace = SolverTrace(iterates=[] if keep_iterates else None)
+    trace = SolverTrace(iterates=[] if keep_iterates else None, stop_reason="max_iter")
     converged = False
     L = L_prev
+    basis = None
     for k in range(1, stop.max_iter + 1):
         np.subtract(sigma_diag, d, out=m_diag)
         if not np.isfinite(m_diag).all():
             raise ValueError("alternating_solve: sigma - D has non-finite entries")
-        L, kept = _prox_with_spectrum(prox, M)
+        L, kept, step = _prox_with_spectrum(prox, M, basis)
+        resid = _fro(L - L_prev)
+        tol = stop.rel_tol * max(1.0, prev_norm)
+        if basis is not None:
+            trace.partial_accepted += step.partial
+            trace.partial_fallbacks += not step.partial
+        if step.partial and (resid <= tol or k == stop.max_iter):
+            # re-certify the last step with the full operator on the same M
+            L, kept, step = _prox_with_spectrum(prox, M)
+            resid = _fro(L - L_prev)
+        basis = step.basis
         # C order: the diagonal view below writes into R, and R is summed
         # in the order of poffdiag's C-order copy
         R = np.subtract(sigma, L, order="C")
@@ -218,19 +251,20 @@ def alternating_solve(sigma, prox, d0=None, stop=None, keep_iterates=False):
         d = r_diag.copy()
         r_diag[:] = 0.0  # R is now poffdiag(sigma - L)
         psi = float((R**2).sum())
-        resid = _fro(L - L_prev)
         trace.objective.append(_penalty(prox, kept) + 0.5 * psi)
         trace.fixed_point_residual.append(resid)
         trace.psi.append(psi)
         if keep_iterates:
             trace.iterates.append(L.copy())
         L_prev = L
-        if resid <= stop.rel_tol * max(1.0, prev_norm):
+        if resid <= tol:
             converged = True
+            trace.stop_reason = "converged" if resid else "fixed_point"
             break
         prev_norm = _fro(L)
     trace.converged = converged
     trace.iterations = k
+    trace.kept = kept
     # post-check: each half-step minimizes its block exactly, so the
     # objective can only drift up by float jitter, never genuinely
     allow = 1e-12 * max(1.0, trace.objective[0])
@@ -420,16 +454,19 @@ def pca_baseline(sigma, r):
     return eig_sym(sigma).vectors[:, : int(r)]
 
 
-def numerical_rank_sym(m, rel_cutoff=1e-8):
-    """Count of eigenvalues above ``rel_cutoff`` times the largest magnitude."""
-    m = _as_sym(m, "numerical_rank_sym")
-    if m.shape[0] == 0:
-        return 0
-    mags = np.abs(np.linalg.eigvalsh(m))
-    top = float(np.max(mags))
+def _numerical_rank(vals, rel_cutoff=1e-8):
+    # count of |vals| above rel_cutoff times the largest |vals|
+    mags = np.abs(vals)
+    top = float(np.max(mags)) if mags.size else 0.0
     if top == 0.0:
         return 0
     return int(np.sum(mags > rel_cutoff * top))
+
+
+def numerical_rank_sym(m, rel_cutoff=1e-8):
+    """Count of eigenvalues above ``rel_cutoff`` times the largest magnitude."""
+    m = _as_sym(m, "numerical_rank_sym")
+    return _numerical_rank(np.linalg.eigvalsh(m), rel_cutoff)
 
 
 def extract_subspace(x, r, return_info=False):

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 import hetero_spectra.cli as cli
-from hetero_spectra import ModelParams, gen_instance, symmetrize
+from hetero_spectra import (
+    ModelParams,
+    gen_instance,
+    numerical_rank_sym,
+    objective_F,
+    poffdiag,
+    symmetrize,
+)
 from hetero_spectra.cli import (
     ParseError,
     load_config,
@@ -231,6 +238,38 @@ def test_solve_generated_instance_certificate(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["fixed_point_residual"] < 1e-8
     assert summary["converged"] is True
+
+
+def test_solve_rmtfa_above_partial_spectrum_crossover(tmp_path, monkeypatch):
+    # the solve-p500 benchmark input at p = 160, above the crossover
+    p = 160
+    rng = np.random.default_rng([65, 500])
+    x = rng.standard_normal((2 * p, 5)) @ rng.standard_normal((p, 5)).T
+    x += rng.standard_normal((2 * p, p)) * np.sqrt(rng.uniform(0.5, 1.5, p))
+    sigma = symmetrize(x.T @ x / (2 * p))
+    tau = 0.02 * float(np.linalg.eigvalsh(poffdiag(sigma))[-1])
+    inp = tmp_path / "sigma.csv"
+    write_matrix_csv(str(inp), sigma)
+    traces = []
+    real = cli.rmtfa
+
+    def spy(sigma, tau):
+        dec, trace = real(sigma, tau)
+        traces.append(trace)
+        return dec, trace
+
+    monkeypatch.setattr(cli, "rmtfa", spy)
+    out = tmp_path / "out"
+    argv = ["solve", "--input", str(inp), "--method", "rmtfa", "--tau", repr(tau), "--out", str(out)]
+    assert main(argv) == 0
+    assert traces[0].partial_accepted > 0
+    summary = json.loads((out / "summary.json").read_text())
+    L = parse_matrix(str(out / "L.csv"))
+    D = parse_matrix(str(out / "D.csv"))
+    assert summary["objective"] == pytest.approx(objective_F(sigma, L, D, tau), rel=1e-10)
+    assert summary["rank_L"] == numerical_rank_sym(L) == 5
+    assert summary["fixed_point_residual"] < 1e-8
+    assert summary["stop_reason"] == "converged" and summary["converged"] is True
 
 
 def test_solve_spectral_method(tmp_path):

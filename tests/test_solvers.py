@@ -73,6 +73,7 @@ def test_alternating_diagonal_sigma_all_prox_kinds():
         assert np.array_equal(dec.L, np.zeros((3, 3)))
         assert np.array_equal(dec.D, sigma)
         assert trace.converged and trace.iterations == 1
+        assert trace.stop_reason == "fixed_point"
 
 
 def test_alternating_full_shrinkage_gives_exact_zero():
@@ -91,7 +92,7 @@ def test_alternating_monotone_objective():
     rng = np.random.default_rng(41)
     sigma = random_psd(rng, 10)
     dec, trace = alternating_solve(sigma, ProxSpec.psd_soft(0.3))
-    assert trace.converged
+    assert trace.converged and trace.stop_reason == "converged"
     assert trace.iterations <= 1000
     diffs = np.diff(trace.objective)
     assert np.all(diffs <= 1e-12 * max(1.0, trace.objective[0]))
@@ -137,6 +138,7 @@ def test_alternating_max_iter_reached_flags_nonconvergence():
     dec, trace = alternating_solve(sigma, ProxSpec.psd_soft(0.1), stop=StopRule(1e-10, 1))
     assert not dec.converged and not trace.converged
     assert dec.iterations == 1
+    assert trace.stop_reason == "max_iter"
 
 
 def test_alternating_zero_sigma_short_circuits():
@@ -144,6 +146,7 @@ def test_alternating_zero_sigma_short_circuits():
     dec, trace = alternating_solve(z, ProxSpec.psd_soft(0.5))
     assert np.array_equal(dec.L, z) and np.array_equal(dec.D, z)
     assert trace.converged and trace.iterations == 0
+    assert trace.stop_reason == "fixed_point" and trace.kept.size == 0
 
 
 def test_stop_rule_validation():
@@ -178,10 +181,16 @@ def _block_diag_repeated():
     return out
 
 
+# p50 is the desk sweep's size. p128 is at the partial-spectrum crossover,
+# but every kind keeps the full eigensolve there: the rank and sym_soft
+# kinds always do, and psd_soft(0.01) keeps more than p/8 eigenpairs. Its
+# soft kinds run to the cap, so p128 pins its first 60 iterates only
 _PIN_SIGMAS = {
     "p1": lambda: np.array([[2.0]]),
     "p12": lambda: random_corr(np.random.default_rng(47), 12),
     "block": _block_diag_repeated,
+    "p50": lambda: random_corr(np.random.default_rng(50), 50),
+    "p128": lambda: random_corr(np.random.default_rng(51), 128),
 }
 _PIN_SPECS = {
     "psd_soft": ProxSpec.psd_soft(0.01),
@@ -201,9 +210,10 @@ def test_alternating_solve_bitwise_matches_plain_loop(case, kind, d0_form):
     d0 = {"none": None, "vector": d0_vec, "matrix": np.diag(d0_vec)}[d0_form]
     spec = _PIN_SPECS[kind]
     param = spec.tau if spec.tau is not None else spec.r
-    stop = StopRule(rel_tol=1e-10, max_iter=400)
+    max_iter = 60 if case == "p128" else 400
+    stop = StopRule(rel_tol=1e-10, max_iter=max_iter)
     dec, trace = alternating_solve(sigma, spec, d0=d0, stop=stop, keep_iterates=True)
-    ref = alternating_reference(sigma, kind, param, d0, 1e-10, 400, keep_iterates=True)
+    ref = alternating_reference(sigma, kind, param, d0, 1e-10, max_iter, keep_iterates=True)
     assert dec.iterations == trace.iterations == ref["iterations"]
     assert dec.converged == trace.converged == ref["converged"]
     assert _bits(dec.L) == _bits(ref["L"])
@@ -213,6 +223,114 @@ def test_alternating_solve_bitwise_matches_plain_loop(case, kind, d0_form):
     assert len(trace.iterates) == len(ref["iterates"])
     for got, want in zip(trace.iterates, ref["iterates"]):
         assert _bits(got) == _bits(want)
+    assert trace.partial_accepted == trace.partial_fallbacks == 0
+
+
+# ---------------------------------------------------------------- partial spectrum
+
+
+def factor_sample_cov(seed, p, r=5):
+    """The ``solve-p500`` benchmark input at size p, with its tau.
+
+    The sample covariance of 2p draws of a rank-r factor model with a
+    U[0.5, 1.5] noise diagonal, and ``tau = 0.02 * lambda_1(poffdiag(sigma))``.
+    """
+    n = 2 * p
+    rng = np.random.default_rng([seed, 500])
+    loadings = rng.standard_normal((p, r))
+    factors = rng.standard_normal((n, r))
+    noise_var = rng.uniform(0.5, 1.5, p)
+    x = factors @ loadings.T + rng.standard_normal((n, p)) * np.sqrt(noise_var)
+    sigma = symmetrize(x.T @ x / n)
+    return sigma, 0.02 * float(eig_sym(poffdiag(sigma)).values[0])
+
+
+def _full_path_rmtfa(monkeypatch, sigma, tau, **kwargs):
+    """rmtfa with the partial-spectrum step switched off."""
+    from hetero_spectra import shrinkage
+
+    with monkeypatch.context() as mp:
+        mp.setattr(shrinkage, "_PARTIAL_MIN_P", sigma.shape[0] + 1)
+        dec, trace = rmtfa(sigma, tau, **kwargs)
+    assert trace.partial_accepted == trace.partial_fallbacks == 0
+    return dec, trace
+
+
+def _p256_factor():
+    return factor_instance(np.random.default_rng(60), 256, 4, noise=0.02)[0], 1.0
+
+
+@pytest.mark.parametrize("case", ["p256", "sample_cov_p300"])
+def test_partial_spectrum_path_matches_full_path(case, monkeypatch):
+    from hetero_spectra.solvers import _numerical_rank
+
+    sigma, tau = _p256_factor() if case == "p256" else factor_sample_cov(61, 300)
+    dec, trace = rmtfa(sigma, tau, keep_iterates=True)
+    full, full_trace = _full_path_rmtfa(monkeypatch, sigma, tau)
+    assert trace.partial_accepted > 0
+    assert dec.iterations == full.iterations
+    assert trace.converged and trace.stop_reason == full_trace.stop_reason == "converged"
+    assert np.linalg.norm(dec.L - full.L) <= 1e-10 * np.linalg.norm(full.L)
+    assert np.array_equal(dec.D, pdiag(sigma - dec.L))
+    # the last step was redone by the full operator on the loop's last M
+    m_last = sigma.copy()
+    np.fill_diagonal(m_last, np.diagonal(sigma) - np.diagonal(sigma - trace.iterates[-2]))
+    assert np.array_equal(dec.L, soft_threshold_psd(m_last, tau))
+    # the last row and the kept spectrum describe the returned pair
+    assert trace.psi[-1] == float(np.sum(poffdiag(sigma - dec.L) ** 2))
+    assert trace.objective[-1] == pytest.approx(objective_F(sigma, dec.L, dec.D, tau), rel=1e-12)
+    assert _numerical_rank(trace.kept) == numerical_rank_sym(dec.L) > 0
+
+
+def _assert_same_solve(got, want):
+    (dec, trace), (ref, ref_trace) = got, want
+    assert dec.iterations == ref.iterations and trace.stop_reason == ref_trace.stop_reason
+    assert _bits(dec.L) == _bits(ref.L) and _bits(dec.D) == _bits(ref.D)
+    for name in ("objective", "fixed_point_residual", "psi"):
+        assert _bits(getattr(trace, name)) == _bits(getattr(ref_trace, name)), name
+
+
+def test_partial_spectrum_falls_back_at_an_eigenvalue_on_tau(monkeypatch):
+    # a decoupled block [[1, 0.5], [0.5, 1]]: from iteration 2 on, sigma - D
+    # has the eigenvalue 0.5 = tau just below the signal, inside the warm
+    # block, so no partial step can separate it from tau
+    sigma = np.zeros((256, 256))
+    sigma[:254, :254] = factor_instance(np.random.default_rng(62), 254, 3)[0]
+    sigma[254:, 254:] = [[1.0, 0.5], [0.5, 1.0]]
+    got = rmtfa(sigma, 0.5)
+    assert got[1].partial_fallbacks > 0 and got[1].partial_accepted == 0
+    assert got[1].converged
+    _assert_same_solve(got, _full_path_rmtfa(monkeypatch, sigma, 0.5))
+
+
+def test_partial_spectrum_falls_back_when_kept_count_outgrows_block(monkeypatch):
+    sigma = random_corr(np.random.default_rng(63), 256)
+    off = eig_sym(poffdiag(sigma)).values
+    tau = 0.01
+    # the first step keeps two eigenpairs; the second sees about p/2 above tau
+    d0 = np.diagonal(sigma) + (off[2] - tau)
+    stop = StopRule(1e-10, 30)
+    got = rmtfa(sigma, tau, d0=d0, stop=stop)
+    assert got[1].partial_fallbacks == 1 and got[1].partial_accepted == 0
+    assert got[1].kept.size > 256 // 8
+    _assert_same_solve(got, _full_path_rmtfa(monkeypatch, sigma, tau, d0=d0, stop=stop))
+
+
+@pytest.mark.parametrize("start", ["cold", "raised"])
+def test_partial_spectrum_exact_shutoff_large_p(start):
+    # criterion 3 at p = 300: tau >= lambda_1(poffdiag(sigma)) gives L == 0
+    sigma, _ = factor_sample_cov(64, 300)
+    lam1 = eig_sym(poffdiag(sigma)).values[0]
+    tau = lam1 * (1.0 + 1e-12)
+    # "raised" starts below the diagonal, so the first steps keep a few
+    # eigenpairs and the partial steps carry the fit down to zero
+    d0 = None if start == "cold" else np.diagonal(sigma) - 0.5 * lam1
+    dec, trace = rmtfa(sigma, tau, d0=d0)
+    assert np.array_equal(dec.L, np.zeros_like(sigma))
+    assert np.array_equal(dec.D, pdiag(sigma))
+    assert trace.stop_reason == "fixed_point" and trace.kept.size == 0
+    if start == "raised":
+        assert trace.partial_accepted > 0
 
 
 def test_alternating_nonfinite_iterate_raises(monkeypatch):
@@ -221,13 +339,13 @@ def test_alternating_nonfinite_iterate_raises(monkeypatch):
     real = solvers._prox_with_spectrum
     calls = []
 
-    def poisoned(spec, m):
-        L, kept = real(spec, m)
+    def poisoned(spec, m, basis=None):
+        L, kept, step = real(spec, m, basis)
         calls.append(1)
         if len(calls) == 2:
             L = L.copy()
             np.fill_diagonal(L, np.inf)
-        return L, kept
+        return L, kept, step
 
     monkeypatch.setattr(solvers, "_prox_with_spectrum", poisoned)
     sigma = random_corr(np.random.default_rng(48), 8)
