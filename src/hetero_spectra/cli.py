@@ -23,13 +23,16 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .matcore import pdiag, symmetrize
+from .matcore import symmetrize
 from .metrics import heywood_check
-from .shrinkage import ProxSpec, apply_prox, best_rank_r
-from .simlab import METHOD_TAGS, ExperimentConfig, run_experiment
-from .solvers import (
-    _heteropca_psd_run,
-    _numerical_rank,
+from .shrinkage import ProxSpec, apply_prox
+from .simlab import ExperimentConfig, run_experiment
+from .solvers import METHOD_TAGS, METHODS, SOFT_METHODS, _numerical_rank
+
+# solve runs its fit through METHODS. The names below stay bound here only
+# because perfbench/tracer.py patches them on this module for its traced
+# run; solve calls none of them.
+from .solvers import (  # noqa: F401
     deflated_heteropca,
     diag_deleted_pca,
     heteropca,
@@ -38,6 +41,8 @@ from .solvers import (
     rmtfa,
     soft_impute_diag,
 )
+
+_heteropca_psd_run = METHODS["hpca_plus"]
 
 __all__ = [
     "ParseError",
@@ -287,27 +292,10 @@ def load_config(path):
     return ExperimentConfig(**kwargs)
 
 
-def _single_row_trace(sigma, L):
-    psi = float(np.sum((sigma - L - pdiag(sigma - L)) ** 2))
-    return [(1, 0.5 * psi, 0.0, psi)]
-
-
-def _rows_from_iterates(sigma, iterates):
-    rows = []
-    prev = np.zeros_like(sigma)
-    for k, L in enumerate(iterates, start=1):
-        psi = float(np.sum((sigma - L - pdiag(sigma - L)) ** 2))
-        resid = float(np.linalg.norm(L - prev))
-        rows.append((k, 0.5 * psi, resid, psi))
-        prev = L
-    return rows
-
-
 def cmd_solve(args):
     sigma = parse_matrix(args.input)
-    p = sigma.shape[0]
     method = args.method
-    soft = method in ("rmtfa", "si")
+    soft = method in SOFT_METHODS
     if soft:
         if args.tau is None:
             raise ValueError(f"--tau is required for method {method}")
@@ -321,80 +309,36 @@ def cmd_solve(args):
             raise ValueError(f"--tau is not accepted for method {method}")
         param = int(args.rank)
 
-    trace_rows = None
-    fixed_point = None
-    if method == "rmtfa":
-        dec, trace = rmtfa(sigma, param)
-    elif method == "si":
-        dec, trace = soft_impute_diag(sigma, param)
-    elif method == "hpca_plus":
-        dec, trace = _heteropca_psd_run(sigma, param, 30)
-    elif method == "hpca":
-        L, _, iterates = heteropca(sigma, param, keep_iterates=True)
-        trace_rows = _rows_from_iterates(sigma, iterates)
-        dec = _wrap(sigma, L, method, param, len(iterates))
-        trace = None
-    elif method == "dhpca":
-        L, stages = deflated_heteropca(sigma, param, return_stages=True)
-        dec = _wrap(sigma, L, method, param, len(stages))
-        trace = None
-        trace_rows = _single_row_trace(sigma, L)
-    elif method == "svd":
-        L = best_rank_r(sigma, param)
-        dec = _wrap(sigma, L, method, param, 1)
-        trace = None
-        trace_rows = _single_row_trace(sigma, L)
-    elif method == "dd":
-        L = diag_deleted_pca(sigma, param)
-        dec = _wrap(sigma, L, method, param, 1)
-        trace = None
-        trace_rows = _single_row_trace(sigma, L)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
-    if trace is not None:
-        trace_rows = list(
-            zip(
-                range(1, trace.iterations + 1),
-                trace.objective,
-                trace.fixed_point_residual,
-                trace.psi,
-            )
-        )
-        # the last step's objective and kept spectrum are the returned
-        # pair's, since D = pdiag(sigma - L): no eigensolve needed here
-        objective = trace.objective[-1]
-        rank_L = _numerical_rank(trace.kept)
-    else:
-        objective = objective_F(sigma, dec.L, dec.D, 0.0)
-        rank_L = numerical_rank_sym(dec.L)
-    if soft:
-        kind = ProxSpec.psd_soft(param) if method == "rmtfa" else ProxSpec.sym_soft(param)
-        fixed_point = float(np.linalg.norm(dec.L - apply_prox(kind, sigma - dec.D)))
+    dec, trace = METHODS[method](sigma, param)
 
     os.makedirs(args.out, exist_ok=True)
     write_matrix_csv(os.path.join(args.out, "L.csv"), dec.L)
     write_matrix_csv(os.path.join(args.out, "D.csv"), dec.D)
     with open(os.path.join(args.out, "trace.csv"), "w", encoding="utf-8") as fh:
         fh.write("k,objective,fixed_point_residual,psi\n")
-        for k, obj, resid, psi in trace_rows:
+        rows = zip(trace.objective, trace.fixed_point_residual, trace.psi)
+        for k, (obj, resid, psi) in enumerate(rows, start=1):
             fh.write(f"{k},{_fmt(obj)},{_fmt(resid)},{_fmt(psi)}\n")
 
+    # the last step's objective and kept spectrum are the returned pair's,
+    # since D = pdiag(sigma - L): no eigensolve needed here
     summary = {
         "method": method,
         "param": param,
-        "p": p,
-        "objective": objective,
+        "p": sigma.shape[0],
+        "objective": trace.objective[-1],
         "psi": float(np.sum((sigma - dec.L - dec.D) ** 2)),
-        "rank_L": rank_L,
+        "rank_L": _numerical_rank(trace.kept),
         "heywood": heywood_check(dec),
         "converged": bool(dec.converged),
         "iterations": int(dec.iterations),
+        "stop_reason": trace.stop_reason,
     }
-    if trace is not None:
-        summary["stop_reason"] = trace.stop_reason
-    if fixed_point is not None:
-        summary["fixed_point_residual"] = fixed_point
+    if soft:
+        # an independent check of the returned pair, with one full eigensolve
+        kind = ProxSpec.psd_soft(param) if method == "rmtfa" else ProxSpec.sym_soft(param)
+        refit = apply_prox(kind, sigma - dec.D)
+        summary["fixed_point_residual"] = float(np.linalg.norm(dec.L - refit))
     with open(os.path.join(args.out, "summary.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
@@ -406,19 +350,6 @@ def cmd_solve(args):
         )
         return 3
     return 0
-
-
-def _wrap(sigma, L, method, param, iterations):
-    from .solvers import Decomposition
-
-    return Decomposition(
-        L=L,
-        D=pdiag(sigma - L),
-        method=method,
-        param=param,
-        converged=True,
-        iterations=iterations,
-    )
 
 
 def cmd_simulate(args):

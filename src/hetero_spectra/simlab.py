@@ -16,10 +16,13 @@ import numpy as np
 
 from .matcore import symmetrize
 from .metrics import ledermann_bound, sin_theta
-from .solvers import (
+from .solvers import METHOD_TAGS, METHODS, SOFT_METHODS, extract_subspace
+
+# the fits run through METHODS; these names stay importable here because
+# perfbench/tracer.py patches them on this module
+from .solvers import (  # noqa: F401
     deflated_heteropca,
     diag_deleted_pca,
-    extract_subspace,
     heteropca,
     heteropca_psd,
     pca_baseline,
@@ -40,8 +43,6 @@ __all__ = [
     "resolve_tau",
     "run_experiment",
 ]
-
-METHOD_TAGS = ("svd", "dd", "hpca", "dhpca", "hpca_plus", "rmtfa", "si")
 
 VARY_PARAMS = ("n", "p", "r", "kappa", "omega")
 
@@ -268,26 +269,8 @@ def resolve_tau(config, params):
 
 def _fit_basis(method, inst, tau):
     r = inst.params.r
-    sigma = inst.sigma
-    if method == "svd":
-        return pca_baseline(sigma, r)
-    if method == "dd":
-        return extract_subspace(diag_deleted_pca(sigma, r), r)
-    if method == "hpca":
-        L, _ = heteropca(sigma, r)
-        return extract_subspace(L, r)
-    if method == "dhpca":
-        return extract_subspace(deflated_heteropca(sigma, r), r)
-    if method == "hpca_plus":
-        L, _ = heteropca_psd(sigma, r)
-        return extract_subspace(L, r)
-    if method == "rmtfa":
-        dec, _ = rmtfa(sigma, tau)
-        return extract_subspace(dec, r)
-    if method == "si":
-        dec, _ = soft_impute_diag(sigma, tau)
-        return extract_subspace(dec, r)
-    raise ValueError(f"unknown method {method!r}")
+    dec, _ = METHODS[method](inst.sigma, tau if method in SOFT_METHODS else r)
+    return extract_subspace(dec, r)
 
 
 def _run_cell(config, value, replicate):

@@ -1,11 +1,33 @@
 """Solvers for the decomposition of a covariance into low-rank plus diagonal.
 
-The central routine is :func:`alternating_solve`, which alternates a
-spectral shrinkage step on the low-rank part with an exact diagonal
-update. The named solvers (``rmtfa``, ``soft_impute_diag``,
-``heteropca_psd``) are thin wrappers choosing the shrinkage operator;
-``heteropca`` and ``deflated_heteropca`` implement the fixed-budget
-iterations on the hollowed matrix directly.
+Every method runs through one loop, :func:`alternating_solve`, which
+alternates a spectral step ``L = prox(sigma - D)`` with the exact refit
+``D = pdiag(sigma - L)``. A method is the choice of prox, start and stop:
+
+    tag        prox             start                 stop
+    rmtfa      psd_soft(tau)    D_0 = pdiag(sigma)    tolerance, StopRule()
+    si         sym_soft(tau)    D_0 = pdiag(sigma)    tolerance, StopRule()
+    hpca_plus  rank_psd(r)      D_0 = pdiag(sigma)    30 rounds
+    hpca       rank(r)          D_0 = pdiag(sigma)    30 rounds
+    dd         rank(r)          D_0 = pdiag(sigma)    one round
+    svd        rank(r)          D_0 = 0               one round
+    dhpca      rank(r_k) runs   D carried over the    30 rounds per stage
+               in stages        stages
+
+:data:`METHODS` maps each tag of :data:`METHOD_TAGS` to its fit,
+``fit(sigma, param) -> (Decomposition, SolverTrace)``, with ``param`` tau
+for the tags in :data:`SOFT_METHODS` and the rank r for the others. So
+``svd`` is the best rank-r approximation of ``sigma`` (the r eigenvalues
+largest in magnitude) and ``dd`` that of ``poffdiag(sigma)``.
+
+A fixed-budget run stops early only at an exact fixed point, when a
+further round would repeat it bit for bit, and counts as converged: it
+has no tolerance to miss. Its trace reads ``stop_reason == "max_iter"``
+when the budget ran out. The fit's ``Decomposition.method`` is its tag,
+and ``iterations`` counts the rounds run (summed over the ``dhpca``
+stages). The public ``rmtfa``, ``soft_impute_diag``, ``heteropca``,
+``heteropca_psd`` and ``deflated_heteropca`` are thin wrappers on the
+same loop.
 """
 
 import math
@@ -14,9 +36,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matcore import _as_sym, eig_sym, pdiag, poffdiag, nuclear_norm_sym
-from .shrinkage import ProxSpec, _check_rank, _prox_with_spectrum, _rank, best_rank_r
+from .shrinkage import ProxSpec, _check_rank, _prox_with_spectrum
 
 __all__ = [
+    "METHOD_TAGS",
+    "METHODS",
+    "SOFT_METHODS",
     "StopRule",
     "SolverTrace",
     "Decomposition",
@@ -33,8 +58,16 @@ __all__ = [
     "numerical_rank_sym",
 ]
 
+METHOD_TAGS = ("svd", "dd", "hpca", "dhpca", "hpca_plus", "rmtfa", "si")
+
+# the tags whose parameter is tau; the others take a rank r
+SOFT_METHODS = ("rmtfa", "si")
+
 # smallest positive float: the stop rule fires only at an exact fixed point
 _STATIONARY_TOL = 5e-324
+
+# default rounds of the fixed-budget rank methods, and of each dhpca stage
+_ROUNDS = 30
 
 _METHOD_BY_KIND = {
     "psd_soft": "rmtfa",
@@ -208,6 +241,8 @@ def alternating_solve(sigma, prox, d0=None, stop=None, keep_iterates=False):
     p = sigma.shape[0]
     method = _METHOD_BY_KIND[prox.kind]
     param = prox.tau if prox.tau is not None else prox.r
+    if prox.r is not None:
+        _check_rank(prox.r, p)
 
     if d0 is None and not sigma.any():
         # degenerate zero input: nothing to fit
@@ -219,8 +254,6 @@ def alternating_solve(sigma, prox, d0=None, stop=None, keep_iterates=False):
 
     sigma_diag = np.diagonal(sigma).copy()
     d = sigma_diag if d0 is None else _diag_vector(d0, p)
-    if prox.r is not None:
-        _check_rank(prox.r, p)
     M = sigma.copy()  # sigma - diag(d): only its diagonal changes
     m_diag = M.reshape(-1)[:: p + 1]
     L_prev = np.zeros_like(sigma)
@@ -318,7 +351,32 @@ def _check_t_max(t_max, op):
     return int(t_max)
 
 
-def heteropca(sigma, r, t_max=30, g0=None, keep_iterates=False):
+def _fixed_budget(sigma, prox, rounds, d0=None, keep_iterates=False):
+    """``alternating_solve`` for ``rounds`` rounds, or to an exact fixed point.
+
+    The run counts as converged: a fixed budget has no tolerance to miss.
+    """
+    stop = StopRule(rel_tol=_STATIONARY_TOL, max_iter=rounds)
+    dec, trace = alternating_solve(sigma, prox, d0, stop, keep_iterates)
+    dec.converged = trace.converged = True
+    return dec, trace
+
+
+def _rank_method(tag, make_prox, rounds, zero_start=False):
+    """The :data:`METHODS` entry of a fixed-budget rank method."""
+
+    def fit(sigma, r):
+        sigma = _as_sym(sigma, tag)
+        r = _check_rank(r, sigma.shape[0])
+        d0 = np.zeros(sigma.shape[0]) if zero_start else None
+        dec, trace = _fixed_budget(sigma, make_prox(r), rounds, d0)
+        dec.method = tag
+        return dec, trace
+
+    return fit
+
+
+def heteropca(sigma, r, t_max=_ROUNDS, g0=None, keep_iterates=False):
     """Iterative diagonal imputation around a rank-r approximation.
 
     Starting from the hollowed matrix ``G_0 = poffdiag(sigma)`` (or ``g0``
@@ -328,73 +386,47 @@ def heteropca(sigma, r, t_max=30, g0=None, keep_iterates=False):
         ``G_t = poffdiag(G_{t-1}) + pdiag(L_t)``,
 
     so the off-diagonal of G never changes and the diagonal is refilled
-    from the current low-rank fit. The arguments are checked once, on
-    entry; the rounds call the unchecked rank-r operator and check only
-    the refilled diagonal for finiteness.
+    from the current low-rank fit. This is :func:`alternating_solve` with
+    ``ProxSpec.rank(r)``: from ``D_0 = pdiag(sigma)``, or on ``g0`` from
+    ``D_0 = 0``. It stops early at an exact fixed point, where every
+    further round would repeat ``L_t``.
 
     Returns
     -------
     (L, G) : final low-rank iterate and final imputed matrix.
         With ``keep_iterates=True``, ``(L, G, iterates)`` where
-        ``iterates`` lists every ``L_t``.
+        ``iterates`` lists every ``L_t`` computed.
     """
     sigma = _as_sym(sigma, "heteropca")
     t_max = _check_t_max(t_max, "heteropca")
-    if g0 is None:
-        G = poffdiag(sigma)
-    else:
-        G = _as_sym(g0, "heteropca: g0")
-        if G.shape != sigma.shape:
+    base, d0 = sigma, None
+    if g0 is not None:
+        base = _as_sym(g0, "heteropca: g0")
+        if base.shape != sigma.shape:
             raise ValueError("heteropca: g0 shape does not match sigma")
-        G = G.copy()
+        d0 = np.zeros(sigma.shape[0])
     r = _check_rank(r, sigma.shape[0])
-    iterates = [] if keep_iterates else None
-    L = np.zeros_like(sigma)
-    for t in range(t_max):
-        # G keeps its checked off-diagonal; only the refilled diagonal can
-        # turn non-finite
-        if t and not np.isfinite(np.diagonal(G)).all():
-            raise ValueError("heteropca: imputed diagonal has non-finite entries")
-        L = _rank(G, r)[0]
-        G = poffdiag(G) + pdiag(L)
-        if keep_iterates:
-            iterates.append(L.copy())
+    dec, trace = _fixed_budget(base, ProxSpec.rank(r), t_max, d0, keep_iterates)
+    G = poffdiag(base) + pdiag(dec.L)
     if keep_iterates:
-        return L, G, iterates
-    return L, G
+        return dec.L, G, trace.iterates
+    return dec.L, G
 
 
-def deflated_heteropca(sigma, r, t_max_per_stage=30, return_stages=False):
-    """Rank-staged variant of :func:`heteropca`.
+def _deflated_run(sigma, r, rounds):
+    """dhpca: ``(Decomposition, SolverTrace, stage ranks)``.
 
-    Instead of fitting rank r at once, ranks are increased in stages. At
-    each stage, with sigma_i the magnitudes of the eigenvalues of the
-    current G (descending, sigma_{p+1} = 0) and r_prev the previous stage
-    rank, the stage rank is the largest r' in (r_prev, r] with
-
-        ``sigma_{r_prev+1} / sigma_{r'} <= 4``  (well-conditioned block)
-        ``(sigma_{r'} - sigma_{r'+1}) / sigma_{r'} >= 1/r``  (relative gap)
-
-    falling back to r when no r' qualifies. A vanishing sigma_{r'} fails
-    both conditions. Each stage runs ``t_max_per_stage`` rounds of the
-    imputation loop, carrying G across stages.
-
-    Returns
-    -------
-    L : final low-rank iterate.
-        With ``return_stages=True``, ``(L, stage_ranks)``.
+    Each stage is a fixed-budget ``rank(r_k)`` run started from the
+    previous stage's ``D``. The trace lists the rounds of every stage in
+    order; each stage's first residual follows the ``L_0 = 0`` rule.
     """
     sigma = _as_sym(sigma, "deflated_heteropca")
-    p = sigma.shape[0]
-    if int(r) != r or not 1 <= r <= p:
-        raise ValueError(f"deflated_heteropca: rank must satisfy 1 <= r <= {p}, got {r}")
-    r = int(r)
-    t_max_per_stage = _check_t_max(t_max_per_stage, "deflated_heteropca")
-
-    G = poffdiag(sigma)
+    r = _check_rank(r, sigma.shape[0])
+    trace = SolverTrace()
+    G = poffdiag(sigma)  # sigma - D_0
+    d = None
     r_prev = 0
     stage_ranks = []
-    L = np.zeros_like(sigma)
     while r_prev < r:
         svals = np.sort(np.abs(np.linalg.eigvalsh(G)))[::-1]
         svals = np.append(svals, 0.0)  # sigma_{p+1} := 0
@@ -407,23 +439,53 @@ def deflated_heteropca(sigma, r, t_max_per_stage=30, return_stages=False):
             if top / s_c <= 4.0 and (s_c - svals[cand]) / s_c >= 1.0 / r:
                 r_k = cand
                 break
-        L, G = heteropca(sigma, r_k, t_max_per_stage, g0=G)
+        dec, stage = _fixed_budget(sigma, ProxSpec.rank(r_k), rounds, d)
+        trace.objective += stage.objective
+        trace.fixed_point_residual += stage.fixed_point_residual
+        trace.psi += stage.psi
+        trace.iterations += stage.iterations
+        d = np.diagonal(dec.D)
+        G = sigma - dec.D
         stage_ranks.append(r_k)
         r_prev = r_k
-    if return_stages:
-        return L, stage_ranks
-    return L
-
-
-def _heteropca_psd_run(sigma, r, t_max, keep_iterates=False):
-    stop = StopRule(rel_tol=_STATIONARY_TOL, max_iter=t_max)
-    dec, trace = alternating_solve(sigma, ProxSpec.rank_psd(r), None, stop, keep_iterates)
-    dec.converged = True  # fixed iteration budget, no tolerance to miss
     trace.converged = True
-    return dec, trace
+    trace.stop_reason = stage.stop_reason
+    trace.kept = stage.kept
+    dec.method = "dhpca"
+    dec.iterations = trace.iterations
+    return dec, trace, stage_ranks
 
 
-def heteropca_psd(sigma, r, t_max=30):
+def deflated_heteropca(sigma, r, t_max_per_stage=_ROUNDS, return_stages=False):
+    """Rank-staged variant of :func:`heteropca`.
+
+    Instead of fitting rank r at once, ranks are increased in stages. At
+    each stage, with sigma_i the magnitudes of the eigenvalues of the
+    current ``G = sigma - D`` (descending, sigma_{p+1} = 0) and r_prev the
+    previous stage rank, the stage rank is the largest r' in (r_prev, r]
+    with
+
+        ``sigma_{r_prev+1} / sigma_{r'} <= 4``  (well-conditioned block)
+        ``(sigma_{r'} - sigma_{r'+1}) / sigma_{r'} >= 1/r``  (relative gap)
+
+    falling back to r when no r' qualifies. A vanishing sigma_{r'} fails
+    both conditions. Each stage runs ``t_max_per_stage`` rounds of the
+    ``rank(r')`` loop, carrying D across stages; the first stage starts
+    from ``D_0 = pdiag(sigma)``, so its G is ``poffdiag(sigma)``.
+
+    Returns
+    -------
+    L : final low-rank iterate.
+        With ``return_stages=True``, ``(L, stage_ranks)``.
+    """
+    t_max_per_stage = _check_t_max(t_max_per_stage, "deflated_heteropca")
+    dec, _, stage_ranks = _deflated_run(sigma, r, t_max_per_stage)
+    if return_stages:
+        return dec.L, stage_ranks
+    return dec.L
+
+
+def heteropca_psd(sigma, r, t_max=_ROUNDS):
     """Alternating fit with a PSD rank-r projection in the low-rank step.
 
     Starting from ``D_0 = pdiag(sigma)``, runs ``t_max`` rounds of
@@ -435,14 +497,29 @@ def heteropca_psd(sigma, r, t_max=30):
     (L, D) : final PSD low-rank part and diagonal part.
     """
     t_max = _check_t_max(t_max, "heteropca_psd")
-    dec, _ = _heteropca_psd_run(sigma, r, t_max)
+    dec, _ = _fixed_budget(sigma, ProxSpec.rank_psd(r), t_max)
     return dec.L, dec.D
 
 
+# tag -> fit(sigma, param) -> (Decomposition, SolverTrace); see the module
+# docstring for each method's prox, start and stop
+METHODS = {
+    "svd": _rank_method("svd", ProxSpec.rank, 1, zero_start=True),
+    "dd": _rank_method("dd", ProxSpec.rank, 1),
+    "hpca": _rank_method("hpca", ProxSpec.rank, _ROUNDS),
+    "dhpca": lambda sigma, r: _deflated_run(sigma, r, _ROUNDS)[:2],
+    "hpca_plus": _rank_method("hpca_plus", ProxSpec.rank_psd, _ROUNDS),
+    "rmtfa": rmtfa,
+    "si": soft_impute_diag,
+}
+
+
 def diag_deleted_pca(sigma, r):
-    """Best rank-r approximation of the hollowed matrix ``poffdiag(sigma)``."""
-    sigma = _as_sym(sigma, "diag_deleted_pca")
-    return best_rank_r(poffdiag(sigma), r)
+    """Best rank-r approximation of the hollowed matrix ``poffdiag(sigma)``.
+
+    This is the ``dd`` fit's ``L``: one rank-r round from ``D_0 = pdiag(sigma)``.
+    """
+    return METHODS["dd"](sigma, r)[0].L
 
 
 def pca_baseline(sigma, r):

@@ -225,3 +225,34 @@ def alternating_reference(sigma, kind, param, d0=None, rel_tol=1e-10, max_iter=1
             break
     out.update(L=L, D=D, iterations=k)
     return out
+
+
+def heteropca_reference(sigma, r, t_max=30, g0=None):
+    """HeteroPCA's G-recursion written out plainly.
+
+    Starting from ``G_0 = poffdiag(sigma)`` (or ``g0``), repeats
+    ``L_t = best_rank_r(G_{t-1})`` (the r eigenvalues largest in magnitude,
+    stable on ties, rebuilt as ``((V*w) @ V.T + its transpose) / 2``) and
+    ``G_t = poffdiag(G_{t-1}) + pdiag(L_t)`` for ``t_max`` rounds. Only the
+    diagonal of G ever changes.
+
+    Returns
+    -------
+    list of every ``L_t``, t = 1..t_max.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    G = np.array(sigma if g0 is None else g0, dtype=float)
+    if g0 is None:
+        np.fill_diagonal(G, 0.0)
+    iterates = []
+    for _ in range(t_max):
+        vals, vecs = np.linalg.eigh(G)
+        order = np.argsort(-vals, kind="stable")
+        vals, vecs = vals[order], vecs[:, order]
+        top = np.argsort(-np.abs(vals), kind="stable")[:r]
+        x = (vecs[:, top] * vals[top]) @ vecs[:, top].T
+        L = (x + x.T) / 2.0
+        G = G.copy()
+        np.fill_diagonal(G, np.diagonal(L))
+        iterates.append(L)
+    return iterates

@@ -19,7 +19,6 @@ from hetero_spectra import (
     apply_prox,
     eig_sym,
     extract_subspace,
-    heteropca,
     nuclear_norm_sym,
     objective_F,
     pdiag,
@@ -35,6 +34,7 @@ from hetero_spectra import (
 )
 from hetero_spectra.cli import main
 from hetero_spectra.solvers import pca_baseline
+from oracles import heteropca_reference
 
 
 def report(num, name, ok, detail=""):
@@ -189,7 +189,7 @@ def test_criterion_07_iteration_equivalence():
     for trial in range(10):
         sigma = random_corr(rng, 12)
         r = (1, 3, 5)[trial % 3]
-        _, _, hp_iterates = heteropca(sigma, r, t_max=30, keep_iterates=True)
+        hp_iterates = heteropca_reference(sigma, r, t_max=30)
         _, trace = alternating_solve(sigma, ProxSpec.rank(r), stop=stop, keep_iterates=True)
         alt = trace.iterates
         common = min(len(hp_iterates), len(alt))

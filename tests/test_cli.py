@@ -8,13 +8,20 @@ import pytest
 
 import hetero_spectra.cli as cli
 from hetero_spectra import (
+    METHOD_TAGS,
     ModelParams,
+    best_rank_r,
     gen_instance,
     numerical_rank_sym,
     objective_F,
+    pca_baseline,
+    pdiag,
     poffdiag,
+    sin_theta,
     symmetrize,
 )
+from hetero_spectra import simlab
+from hetero_spectra.solvers import METHODS
 from hetero_spectra.cli import (
     ParseError,
     load_config,
@@ -251,14 +258,14 @@ def test_solve_rmtfa_above_partial_spectrum_crossover(tmp_path, monkeypatch):
     inp = tmp_path / "sigma.csv"
     write_matrix_csv(str(inp), sigma)
     traces = []
-    real = cli.rmtfa
+    real = METHODS["rmtfa"]
 
     def spy(sigma, tau):
         dec, trace = real(sigma, tau)
         traces.append(trace)
         return dec, trace
 
-    monkeypatch.setattr(cli, "rmtfa", spy)
+    monkeypatch.setitem(METHODS, "rmtfa", spy)
     out = tmp_path / "out"
     argv = ["solve", "--input", str(inp), "--method", "rmtfa", "--tau", repr(tau), "--out", str(out)]
     assert main(argv) == 0
@@ -272,19 +279,87 @@ def test_solve_rmtfa_above_partial_spectrum_crossover(tmp_path, monkeypatch):
     assert summary["stop_reason"] == "converged" and summary["converged"] is True
 
 
-def test_solve_spectral_method(tmp_path):
+def _read_trace_csv(path):
+    lines = path.read_text().splitlines()
+    assert lines[0] == "k,objective,fixed_point_residual,psi"
+    return [tuple(float(x) for x in line.split(",")) for line in lines[1:]]
+
+
+@pytest.mark.parametrize("method", METHOD_TAGS)
+def test_solve_every_method(tmp_path, monkeypatch, method):
+    commands = next(a for a in cli._build_parser()._actions if a.dest == "command")
+    choices = next(a.choices for a in commands.choices["solve"]._actions if a.dest == "method")
+    assert tuple(METHODS) == METHOD_TAGS == tuple(choices)
+
     rng = np.random.default_rng(134)
     a = rng.standard_normal((6, 6))
     inp = tmp_path / "m.csv"
     write_matrix_csv(str(inp), symmetrize(a @ a.T))
+    sigma = parse_matrix(str(inp))
+    fits = []
+    real = METHODS[method]
+
+    def spy(sigma, param):
+        fits.append(real(sigma, param))
+        return fits[-1]
+
+    monkeypatch.setitem(METHODS, method, spy)
     out = tmp_path / "out"
-    ret = main(["solve", "--input", str(inp), "--method", "hpca", "--rank", "2", "--out", str(out)])
-    assert ret == 0
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["rank_L"] <= 2
+    flag = ["--tau", "1.0"] if method in ("rmtfa", "si") else ["--rank", "2"]
+    assert main(["solve", "--input", str(inp), "--method", method, *flag, "--out", str(out)]) == 0
+    (dec, trace), = fits
+
+    rows = _read_trace_csv(out / "trace.csv")
+    assert rows == [
+        (k, *row)
+        for k, row in enumerate(zip(trace.objective, trace.fixed_point_residual, trace.psi), 1)
+    ]
     L = parse_matrix(str(out / "L.csv"))
-    assert np.array_equal(L, L.T)
-    assert np.linalg.matrix_rank(L, tol=1e-8) <= 2
+    D = parse_matrix(str(out / "D.csv"))
+    assert np.array_equal(L, dec.L) and np.array_equal(L, L.T)
+    assert np.array_equal(D, pdiag(sigma - L))
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["objective"] == trace.objective[-1]
+    assert summary["iterations"] == trace.iterations == len(rows) == dec.iterations
+    assert summary["stop_reason"] in ("converged", "fixed_point", "max_iter")
+    assert summary["stop_reason"] == trace.stop_reason
+    assert summary["converged"] is True and summary["method"] == dec.method == method
+    if method in ("svd", "dd"):
+        # one step from L_0 = 0
+        assert rows[0][2] == pytest.approx(float(np.linalg.norm(L)), rel=1e-14)
+    if method in ("rmtfa", "si"):
+        assert summary["fixed_point_residual"] < 1e-8
+    else:
+        assert summary["rank_L"] <= 2
+        assert np.linalg.matrix_rank(L, tol=1e-8) <= 2
+
+
+def test_solve_svd_is_best_rank_r_in_solve_and_simulate(tmp_path, monkeypatch):
+    # a dominant negative eigenvalue: the top eigenvalue by magnitude is not
+    # the top signed one, so best_rank_r and pca_baseline part ways here
+    u = np.linalg.qr(np.random.default_rng(135).standard_normal((6, 6)))[0]
+    sigma = symmetrize((u * np.array([-9.0, 4.0, 2.0, 1.0, 0.5, 0.25])) @ u.T)
+    inp = tmp_path / "m.csv"
+    write_matrix_csv(str(inp), sigma)
+    sigma = parse_matrix(str(inp))
+    out = tmp_path / "out"
+    assert main(["solve", "--input", str(inp), "--method", "svd", "--rank", "1", "--out", str(out)]) == 0
+    L_solve = parse_matrix(str(out / "L.csv"))
+    assert np.array_equal(L_solve, best_rank_r(sigma, 1))
+    assert sin_theta(pca_baseline(sigma, 1), u[:, :1]) > 0.99
+
+    # simulate's svd fit (simlab._fit_basis) fits the same L
+    fitted = []
+    real = simlab.extract_subspace
+
+    def spy(x, r):
+        fitted.append(x.L)
+        return real(x, r)
+
+    monkeypatch.setattr(simlab, "extract_subspace", spy)
+    inst = gen_instance(ModelParams(n=20, p=6, r=1, seed=0))
+    simlab._fit_basis("svd", replace(inst, sigma=sigma), 1.0)
+    assert np.array_equal(fitted[0], L_solve)
 
 
 def test_solve_flag_validation(tmp_path):
@@ -305,13 +380,13 @@ def test_solve_asymmetric_exit_code(tmp_path, capsys):
 
 
 def test_solve_nonconvergence_exit_code(tmp_path, monkeypatch, capsys):
-    real = cli.rmtfa
+    real = METHODS["rmtfa"]
 
     def stubborn(sigma, tau):
         dec, trace = real(sigma, tau)
         return replace(dec, converged=False), trace
 
-    monkeypatch.setattr(cli, "rmtfa", stubborn)
+    monkeypatch.setitem(METHODS, "rmtfa", stubborn)
     inp = write(tmp_path / "m.csv", "2,1\n1,2\n")
     out = tmp_path / "out"
     ret = main(["solve", "--input", inp, "--method", "rmtfa", "--tau", "0.5", "--out", str(out)])

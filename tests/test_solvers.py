@@ -29,7 +29,7 @@ from hetero_spectra import (
     spike_pca_sin_theta,
     symmetrize,
 )
-from oracles import alternating_reference, objective_scalar
+from oracles import alternating_reference, heteropca_reference, objective_scalar
 
 
 def random_sym(rng, p):
@@ -357,17 +357,17 @@ def test_alternating_nonfinite_iterate_raises(monkeypatch):
 def test_heteropca_nonfinite_round_raises(monkeypatch):
     from hetero_spectra import solvers
 
-    real = solvers._rank
+    real = solvers._prox_with_spectrum
     calls = []
 
-    def poisoned(m, r):
-        L, kept = real(m, r)
+    def poisoned(spec, m, basis=None):
+        L, kept, step = real(spec, m, basis)
         calls.append(1)
         L = L.copy()
         np.fill_diagonal(L, np.nan)
-        return L, kept
+        return L, kept, step
 
-    monkeypatch.setattr(solvers, "_rank", poisoned)
+    monkeypatch.setattr(solvers, "_prox_with_spectrum", poisoned)
     sigma = random_corr(np.random.default_rng(49), 8)
     with pytest.raises(ValueError):
         heteropca(sigma, 2)
@@ -567,7 +567,7 @@ def test_heteropca_matches_alternating_rank_solver():
         p = 12
         sigma = random_psd(rng, p, rank=6)
         r = (1, 3, 5)[trial % 3]
-        _, _, hp_iterates = heteropca(sigma, r, t_max=30, keep_iterates=True)
+        hp_iterates = heteropca_reference(sigma, r, t_max=30)
         _, trace = alternating_solve(sigma, ProxSpec.rank(r), stop=stop, keep_iterates=True)
         alt_iterates = trace.iterates
         common = min(len(hp_iterates), len(alt_iterates))
@@ -576,6 +576,29 @@ def test_heteropca_matches_alternating_rank_solver():
         # an early exact fixed point on the alternating side freezes there
         for tail in hp_iterates[common:]:
             assert np.max(np.abs(tail - alt_iterates[-1])) < 1e-10
+        # heteropca is that loop
+        _, _, wrapped = heteropca(sigma, r, t_max=30, keep_iterates=True)
+        assert len(wrapped) == len(alt_iterates)
+        for a, b in zip(wrapped, alt_iterates):
+            assert np.array_equal(a, b)
+
+
+def test_heteropca_g0_matches_reference():
+    rng = np.random.default_rng(66)
+    for trial in range(6):
+        p = 12
+        sigma = random_psd(rng, p, rank=6)
+        g0 = poffdiag(sigma) + np.diag(rng.uniform(0.0, 2.0, p))
+        r = (1, 3, 5)[trial % 3]
+        ref = heteropca_reference(sigma, r, t_max=30, g0=g0)
+        L, G, iterates = heteropca(sigma, r, t_max=30, g0=g0, keep_iterates=True)
+        common = min(len(ref), len(iterates))
+        for a, b in zip(ref[:common], iterates[:common]):
+            assert np.max(np.abs(a - b)) < 1e-10
+        for tail in ref[common:]:
+            assert np.max(np.abs(tail - iterates[-1])) < 1e-10
+        assert np.array_equal(poffdiag(G), poffdiag(g0))
+        assert np.array_equal(np.diagonal(G), np.diagonal(L))
 
 
 def test_heteropca_custom_g0_is_used_directly():
