@@ -18,7 +18,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -86,7 +86,8 @@ def _parse_csv_matrix(text, path):
     rows = []
     width = None
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
+        stripped = line.lstrip()
+        if not stripped or stripped.startswith("#"):
             continue
         tokens = line.split(",")
         if width is None:
@@ -222,19 +223,14 @@ def write_matrix_csv(path, m):
             fh.write(row_fmt % tuple(row))
 
 
-_CONFIG_KEYS = {
-    "n",
-    "p",
-    "r",
-    "kappa",
-    "omega",
-    "vary",
-    "methods",
-    "replicates",
-    "seed",
-    "tau_rule",
-}
-_VARY_KEYS = {"param", "values"}
+# the config's fields are ExperimentConfig's, with "vary" an object holding
+# vary_param and vary_values as "param" and "values"
+_VARY_FIELDS = {"vary_param": "param", "vary_values": "values"}
+_CONFIG_KEYS = {"vary" if f.name in _VARY_FIELDS else f.name for f in fields(ExperimentConfig)}
+_REQUIRED_KEYS = [
+    f.name for f in fields(ExperimentConfig) if f.default is MISSING and f.name not in _VARY_FIELDS
+] + ["vary"]
+_VARY_KEYS = set(_VARY_FIELDS.values())
 
 
 def load_config(path):
@@ -254,7 +250,7 @@ def load_config(path):
     unknown = sorted(set(raw) - _CONFIG_KEYS)
     if unknown:
         raise ValueError(f"{path}: unknown config fields: {', '.join(unknown)}")
-    for key in ("n", "p", "r", "vary"):
+    for key in _REQUIRED_KEYS:
         if key not in raw:
             raise ValueError(f"{path}: missing required config field {key!r}")
     vary = raw["vary"]
@@ -268,27 +264,11 @@ def load_config(path):
             raise ValueError(f"{path}: missing vary field {key!r}")
     if not isinstance(vary["values"], list):
         raise ValueError(f"{path}: vary.values must be a list")
-    kwargs = dict(
-        n=raw["n"],
-        p=raw["p"],
-        r=raw["r"],
-        vary_param=vary["param"],
-        vary_values=tuple(vary["values"]),
-    )
-    if "kappa" in raw:
-        kwargs["kappa"] = raw["kappa"]
-    if "omega" in raw:
-        kwargs["omega"] = raw["omega"]
-    if "methods" in raw:
-        if not isinstance(raw["methods"], list):
-            raise ValueError(f"{path}: methods must be a list of tags")
-        kwargs["methods"] = tuple(raw["methods"])
-    if "replicates" in raw:
-        kwargs["replicates"] = raw["replicates"]
-    if "seed" in raw:
-        kwargs["seed"] = raw["seed"]
-    if "tau_rule" in raw:
-        kwargs["tau_rule"] = raw["tau_rule"]
+    if "methods" in raw and not isinstance(raw["methods"], list):
+        raise ValueError(f"{path}: methods must be a list of tags")
+    kwargs = {key: value for key, value in raw.items() if key != "vary"}
+    for name, key in _VARY_FIELDS.items():
+        kwargs[name] = vary[key]
     return ExperimentConfig(**kwargs)
 
 

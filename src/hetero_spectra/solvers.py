@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matcore import _as_sym, eig_sym, pdiag, poffdiag, nuclear_norm_sym
-from .shrinkage import ProxSpec, _check_rank, _prox_with_spectrum
+from .shrinkage import ProxSpec, _check_rank, _penalty, _prox_with_spectrum
 
 __all__ = [
     "METHOD_TAGS",
@@ -165,14 +165,6 @@ def _fro(x):
     return math.sqrt(v.dot(v))
 
 
-def _penalty(prox, kept):
-    if prox.kind == "psd_soft":
-        return prox.tau * float(kept.sum())
-    if prox.kind == "sym_soft":
-        return prox.tau * float(np.abs(kept).sum())
-    return 0.0  # rank constraints enter as indicators
-
-
 def objective_F(sigma, L, D, tau):
     """Penalized objective ``tau*||L||_* + 0.5*||sigma - (L + D)||_F^2``.
 
@@ -197,8 +189,8 @@ def alternating_solve(sigma, prox, d0=None, stop=None, keep_iterates=False):
     the objective in one block, so the recorded objective never increases.
 
     The arguments are checked once, on entry. The loop then holds ``D`` as
-    its length-p diagonal and calls the unchecked private operators of
-    :mod:`hetero_spectra.shrinkage`, which assume a finite, exactly
+    its length-p diagonal and calls the unchecked spectral step of
+    :mod:`hetero_spectra.shrinkage`, which assumes a finite, exactly
     symmetric matrix. ``sigma - D`` is exactly symmetric by construction and
     its off-diagonal entries are ``sigma``'s, so only its diagonal is checked
     for finiteness on each iteration; a non-finite entry raises
@@ -345,12 +337,6 @@ def soft_impute_diag(sigma, tau, stop=None, d0=None, keep_iterates=False):
     return alternating_solve(sigma, ProxSpec.sym_soft(tau), d0, stop, keep_iterates)
 
 
-def _check_t_max(t_max, op):
-    if int(t_max) != t_max or t_max < 1:
-        raise ValueError(f"{op}: t_max must be an integer >= 1, got {t_max}")
-    return int(t_max)
-
-
 def _fixed_budget(sigma, prox, rounds, d0=None, keep_iterates=False):
     """``alternating_solve`` for ``rounds`` rounds, or to an exact fixed point.
 
@@ -367,7 +353,6 @@ def _rank_method(tag, make_prox, rounds, zero_start=False):
 
     def fit(sigma, r):
         sigma = _as_sym(sigma, tag)
-        r = _check_rank(r, sigma.shape[0])
         d0 = np.zeros(sigma.shape[0]) if zero_start else None
         dec, trace = _fixed_budget(sigma, make_prox(r), rounds, d0)
         dec.method = tag
@@ -398,14 +383,12 @@ def heteropca(sigma, r, t_max=_ROUNDS, g0=None, keep_iterates=False):
         ``iterates`` lists every ``L_t`` computed.
     """
     sigma = _as_sym(sigma, "heteropca")
-    t_max = _check_t_max(t_max, "heteropca")
     base, d0 = sigma, None
     if g0 is not None:
         base = _as_sym(g0, "heteropca: g0")
         if base.shape != sigma.shape:
             raise ValueError("heteropca: g0 shape does not match sigma")
         d0 = np.zeros(sigma.shape[0])
-    r = _check_rank(r, sigma.shape[0])
     dec, trace = _fixed_budget(base, ProxSpec.rank(r), t_max, d0, keep_iterates)
     G = poffdiag(base) + pdiag(dec.L)
     if keep_iterates:
@@ -478,7 +461,6 @@ def deflated_heteropca(sigma, r, t_max_per_stage=_ROUNDS, return_stages=False):
     L : final low-rank iterate.
         With ``return_stages=True``, ``(L, stage_ranks)``.
     """
-    t_max_per_stage = _check_t_max(t_max_per_stage, "deflated_heteropca")
     dec, _, stage_ranks = _deflated_run(sigma, r, t_max_per_stage)
     if return_stages:
         return dec.L, stage_ranks
@@ -496,7 +478,6 @@ def heteropca_psd(sigma, r, t_max=_ROUNDS):
     -------
     (L, D) : final PSD low-rank part and diagonal part.
     """
-    t_max = _check_t_max(t_max, "heteropca_psd")
     dec, _ = _fixed_budget(sigma, ProxSpec.rank_psd(r), t_max)
     return dec.L, dec.D
 
@@ -525,10 +506,8 @@ def diag_deleted_pca(sigma, r):
 def pca_baseline(sigma, r):
     """Leading r eigenvectors of sigma itself, as a (p, r) basis."""
     sigma = _as_sym(sigma, "pca_baseline")
-    p = sigma.shape[0]
-    if int(r) != r or not 1 <= r <= p:
-        raise ValueError(f"pca_baseline: rank must satisfy 1 <= r <= {p}, got {r}")
-    return eig_sym(sigma).vectors[:, : int(r)]
+    r = _check_rank(r, sigma.shape[0])
+    return eig_sym(sigma).vectors[:, :r]
 
 
 def _numerical_rank(vals, rel_cutoff=1e-8):
@@ -567,10 +546,7 @@ def extract_subspace(x, r, return_info=False):
     """
     L = x.L if isinstance(x, Decomposition) else x
     L = _as_sym(L, "extract_subspace")
-    p = L.shape[0]
-    if int(r) != r or not 1 <= r <= p:
-        raise ValueError(f"extract_subspace: rank must satisfy 1 <= r <= {p}, got {r}")
-    r = int(r)
+    r = _check_rank(r, L.shape[0])
     basis = eig_sym(L).vectors[:, :r]
     if not return_info:
         return basis

@@ -61,6 +61,16 @@ def test_parse_csv_basic(tmp_path):
     assert np.array_equal(got, np.array([[1.0, 2.0], [2.0, 3.0]]))
 
 
+def test_parse_csv_skips_comment_lines(tmp_path):
+    path = write(tmp_path / "m.csv", "# a comment\n1,2\n  # indented\n\n2,3\n")
+    got = parse_matrix(path)
+    assert np.array_equal(got, np.array([[1.0, 2.0], [2.0, 3.0]]))
+    # error line numbers still count raw file lines
+    path = write(tmp_path / "bad.csv", "# a comment\n1,2\nx,3\n")
+    with pytest.raises(ParseError, match="line 3, column 1"):
+        parse_matrix(path)
+
+
 def test_parse_csv_rejects_nonsquare(tmp_path):
     path = write(tmp_path / "m.csv", "1,2,3\n4,5,6\n")
     with pytest.raises(ParseError, match="2x3"):

@@ -193,6 +193,13 @@ def test_prox_spec_validation():
         apply_prox("rank", np.eye(2))
     with pytest.raises(ValueError):
         apply_prox(ProxSpec.rank(3), np.eye(2))
+    # the factories pass r through, so a non-integral rank is rejected
+    with pytest.raises(ValueError):
+        ProxSpec.rank(2.5)
+    with pytest.raises(ValueError):
+        ProxSpec.rank_psd(1.5)
+    with pytest.raises(ValueError):
+        apply_prox(ProxSpec.rank(1.5), np.eye(3))
     # an integral float rank is accepted and stored as an int
     spec = ProxSpec("rank_psd", r=2.0)
     assert spec.r == 2 and isinstance(spec.r, int)

@@ -29,6 +29,7 @@ from hetero_spectra import (
     spike_pca_sin_theta,
     symmetrize,
 )
+from hetero_spectra.solvers import METHOD_TAGS, METHODS, SOFT_METHODS
 from oracles import alternating_reference, heteropca_reference, objective_scalar
 
 
@@ -738,6 +739,47 @@ def test_pca_baseline_matches_spike_closed_form():
 def test_pca_baseline_rejects_bad_rank():
     with pytest.raises(ValueError):
         pca_baseline(np.eye(3), 0)
+
+
+# every public entry point that takes a rank, as fit(sigma, r)
+_RANK_ENTRY_POINTS = {
+    "best_rank_r": best_rank_r,
+    "best_rank_r_psd": best_rank_r_psd,
+    "heteropca": heteropca,
+    "heteropca_psd": heteropca_psd,
+    "deflated_heteropca": deflated_heteropca,
+    "diag_deleted_pca": diag_deleted_pca,
+    "pca_baseline": pca_baseline,
+    "extract_subspace": extract_subspace,
+}
+_RANK_ENTRY_POINTS.update(
+    {f"METHODS[{tag}]": METHODS[tag] for tag in METHOD_TAGS if tag not in SOFT_METHODS}
+)
+
+
+@pytest.mark.parametrize("r", [0, -1, 1.5, "p+1"])
+@pytest.mark.parametrize("entry", list(_RANK_ENTRY_POINTS))
+def test_rank_entry_points_reject_bad_rank(entry, r):
+    sigma = random_corr(np.random.default_rng(66), 4)
+    if r == "p+1":
+        r = sigma.shape[0] + 1
+    with pytest.raises(ValueError):
+        _RANK_ENTRY_POINTS[entry](sigma, r)
+
+
+@pytest.mark.parametrize("rounds", [0, 1.5])
+@pytest.mark.parametrize(
+    "fit, budget",
+    [
+        (heteropca, "t_max"),
+        (heteropca_psd, "t_max"),
+        (deflated_heteropca, "t_max_per_stage"),
+    ],
+)
+def test_heteropca_entry_points_reject_bad_round_budget(fit, budget, rounds):
+    sigma = random_corr(np.random.default_rng(67), 4)
+    with pytest.raises(ValueError):
+        fit(sigma, 2, **{budget: rounds})
 
 
 # ---------------------------------------------------------------- objective
