@@ -18,7 +18,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, astuple, fields, replace
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -26,7 +26,7 @@ import numpy as np
 from .matcore import symmetrize
 from .metrics import heywood_check
 from .shrinkage import ProxSpec, apply_prox
-from .simlab import ExperimentConfig, run_experiment
+from .simlab import ExperimentConfig, ResultRow, run_experiment
 from .solvers import METHOD_TAGS, METHODS, SOFT_METHODS, _numerical_rank
 
 # solve runs its fit through METHODS. The names below stay bound here only
@@ -56,7 +56,9 @@ __all__ = [
     "main",
 ]
 
-RESULTS_HEADER = ["method", "param", "value", "replicate", "sin_theta", "wall_ms", "status"]
+# the results CSV has one column per ResultRow field, in field order
+_RESULT_FIELDS = fields(ResultRow)
+RESULTS_HEADER = [f.name for f in _RESULT_FIELDS]
 RESULTS_COMMENT = "# hetero-spectra results v1"
 
 _DISPLAY = {
@@ -82,32 +84,46 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
+def _read_text(path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc.strerror or exc}") from None
+
+
+def _floats(lines, path):
+    """Every token of ``lines``, a list of ``(lineno, tokens)``, as one float array."""
+    try:
+        return np.array([tok for _, tokens in lines for tok in tokens], dtype=float)
+    except ValueError:
+        # rescan only to name the first bad token
+        for lineno, tokens in lines:
+            for col, tok in enumerate(tokens, start=1):
+                try:
+                    float(tok)
+                except ValueError:
+                    raise ParseError(
+                        f"{path}: line {lineno}, column {col}: {tok.strip()!r} is not a number"
+                    ) from None
+        raise
+
+
 def _parse_csv_matrix(text, path):
-    rows = []
-    width = None
+    lines = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.lstrip()
         if not stripped or stripped.startswith("#"):
             continue
         tokens = line.split(",")
-        if width is None:
-            width = len(tokens)
-        elif len(tokens) != width:
+        if lines and len(tokens) != len(lines[0][1]):
             raise ParseError(
-                f"{path}: line {lineno} has {len(tokens)} values, expected {width}"
+                f"{path}: line {lineno} has {len(tokens)} values, expected {len(lines[0][1])}"
             )
-        row = []
-        for col, tok in enumerate(tokens, start=1):
-            try:
-                row.append(float(tok))
-            except ValueError:
-                raise ParseError(
-                    f"{path}: line {lineno}, column {col}: {tok.strip()!r} is not a number"
-                ) from None
-        rows.append(row)
-    if not rows:
+        lines.append((lineno, tokens))
+    if not lines:
         raise ParseError(f"{path}: no data rows")
-    return np.array(rows, dtype=float)
+    return _floats(lines, path).reshape(len(lines), -1)
 
 
 def _parse_mm_array(text, path):
@@ -125,7 +141,7 @@ def _parse_mm_array(text, path):
     if symmetry not in ("general", "symmetric"):
         raise ParseError(f"{path}: line 1: unsupported symmetry {symmetry!r}")
 
-    entries = []  # (lineno, token)
+    body = []  # (lineno, tokens)
     dims = None
     for lineno, line in enumerate(lines[1:], start=2):
         stripped = line.strip()
@@ -142,40 +158,26 @@ def _parse_mm_array(text, path):
             if dims[0] < 1 or dims[1] < 1:
                 raise ParseError(f"{path}: line {lineno}: dimensions must be positive")
             continue
-        for tok in stripped.split():
-            entries.append((lineno, tok))
+        body.append((lineno, stripped.split()))
     if dims is None:
         raise ParseError(f"{path}: missing dimensions line")
     nrow, ncol = dims
-    if symmetry == "symmetric":
-        if nrow != ncol:
-            raise ParseError(f"{path}: symmetric file must be square, got {nrow}x{ncol}")
-        expected = nrow * (nrow + 1) // 2
-    else:
-        expected = nrow * ncol
-    if len(entries) != expected:
-        raise ParseError(f"{path}: expected {expected} entries, found {len(entries)}")
+    if symmetry == "symmetric" and nrow != ncol:
+        raise ParseError(f"{path}: symmetric file must be square, got {nrow}x{ncol}")
+    expected = nrow * (nrow + 1) // 2 if symmetry == "symmetric" else nrow * ncol
+    found = sum(len(tokens) for _, tokens in body)
+    if found != expected:
+        raise ParseError(f"{path}: expected {expected} entries, found {found}")
 
-    values = []
-    for lineno, tok in entries:
-        try:
-            values.append(float(tok))
-        except ValueError:
-            raise ParseError(f"{path}: line {lineno}: {tok!r} is not a number") from None
-
+    values = _floats(body, path)
+    if symmetry == "general":
+        # column major
+        return np.ascontiguousarray(values.reshape(ncol, nrow).T)
+    # lower triangle, column major, diagonal included: the upper triangle in
+    # row-major order, as np.triu_indices lists it
     a = np.empty((nrow, ncol))
-    it = iter(values)
-    if symmetry == "symmetric":
-        # lower triangle, column major, diagonal included
-        for j in range(ncol):
-            for i in range(j, nrow):
-                v = next(it)
-                a[i, j] = v
-                a[j, i] = v
-    else:
-        for j in range(ncol):
-            for i in range(nrow):
-                a[i, j] = next(it)
+    rows, cols = np.triu_indices(nrow)
+    a[cols, rows] = a[rows, cols] = values
     return a
 
 
@@ -186,15 +188,9 @@ def parse_matrix(path):
     matrices with asymmetry at most 1e-10 (max norm) are symmetrized with
     a warning; larger asymmetry is rejected naming the worst entry pair.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc.strerror or exc}") from None
-    if text.lstrip().startswith("%%MatrixMarket"):
-        a = _parse_mm_array(text, path)
-    else:
-        a = _parse_csv_matrix(text, path)
+    text = _read_text(path)
+    parse = _parse_mm_array if text.lstrip().startswith("%%MatrixMarket") else _parse_csv_matrix
+    a = parse(text, path)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ParseError(f"{path}: matrix is {a.shape[0]}x{a.shape[1]}, expected square")
     if not np.all(np.isfinite(a)):
@@ -236,12 +232,7 @@ _VARY_KEYS = set(_VARY_FIELDS.values())
 def load_config(path):
     """Load an :class:`ExperimentConfig` from JSON, rejecting unknown fields."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc.strerror or exc}") from None
-    try:
-        raw = json.loads(text)
+        raw = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         # config problems are argument-class errors (exit 2), not exit 1
         raise ValueError(f"{path}: invalid JSON: {exc}") from None
@@ -276,18 +267,13 @@ def cmd_solve(args):
     sigma = parse_matrix(args.input)
     method = args.method
     soft = method in SOFT_METHODS
-    if soft:
-        if args.tau is None:
-            raise ValueError(f"--tau is required for method {method}")
-        if args.rank is not None:
-            raise ValueError(f"--rank is not accepted for method {method}")
-        param = float(args.tau)
-    else:
-        if args.rank is None:
-            raise ValueError(f"--rank is required for method {method}")
-        if args.tau is not None:
-            raise ValueError(f"--tau is not accepted for method {method}")
-        param = int(args.rank)
+    given = {"--tau": args.tau, "--rank": args.rank}
+    flag, other = ("--tau", "--rank") if soft else ("--rank", "--tau")
+    if given[flag] is None:
+        raise ValueError(f"{flag} is required for method {method}")
+    if given[other] is not None:
+        raise ValueError(f"{other} is not accepted for method {method}")
+    param = given[flag]
 
     dec, trace = METHODS[method](sigma, param)
 
@@ -300,14 +286,14 @@ def cmd_solve(args):
         for k, (obj, resid, psi) in enumerate(rows, start=1):
             fh.write(f"{k},{_fmt(obj)},{_fmt(resid)},{_fmt(psi)}\n")
 
-    # the last step's objective and kept spectrum are the returned pair's,
-    # since D = pdiag(sigma - L): no eigensolve needed here
+    # the last step's objective, psi and kept spectrum are the returned
+    # pair's, since D = pdiag(sigma - L): no eigensolve needed here
     summary = {
         "method": method,
         "param": param,
         "p": sigma.shape[0],
         "objective": trace.objective[-1],
-        "psi": float(np.sum((sigma - dec.L - dec.D) ** 2)),
+        "psi": trace.psi[-1],
         "rank_L": _numerical_rank(trace.kept),
         "heywood": heywood_check(dec),
         "converged": bool(dec.converged),
@@ -340,14 +326,11 @@ def cmd_simulate(args):
         config = replace(config, replicates=args.replicates)
     jobs = args.jobs
     if jobs is None:
-        env = os.environ.get("HETERO_SPECTRA_JOBS")
-        if env is not None:
-            try:
-                jobs = int(env)
-            except ValueError:
-                raise ValueError(f"HETERO_SPECTRA_JOBS = {env!r} is not an integer") from None
-        else:
-            jobs = 1
+        env = os.environ.get("HETERO_SPECTRA_JOBS", "1")
+        try:
+            jobs = int(env)
+        except ValueError:
+            raise ValueError(f"HETERO_SPECTRA_JOBS = {env!r} is not an integer") from None
     rows = run_experiment(config, jobs=jobs)
     out_dir = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(out_dir, exist_ok=True)
@@ -356,29 +339,16 @@ def cmd_simulate(args):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RESULTS_HEADER)
         for row in rows:
-            wall = row.wall_ms if args.timings else 0.0
-            writer.writerow(
-                [
-                    row.method,
-                    row.param,
-                    _fmt(row.value),
-                    row.replicate,
-                    _fmt(row.sin_theta),
-                    _fmt(wall),
-                    row.status,
-                ]
-            )
+            if not args.timings:
+                row = replace(row, wall_ms=0.0)
+            values = zip(_RESULT_FIELDS, astuple(row))
+            writer.writerow([_fmt(v) if f.type is float else v for f, v in values])
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 
 def _read_results_csv(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc.strerror or exc}") from None
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    lines = [ln for ln in _read_text(path).splitlines() if ln.strip() and not ln.startswith("#")]
     if not lines:
         raise ParseError(f"{path}: missing header line")
     reader = csv.reader(io.StringIO("\n".join(lines)))
@@ -391,17 +361,7 @@ def _read_results_csv(path):
         if len(rec) != len(RESULTS_HEADER):
             raise ParseError(f"{path}: row {lineno} has {len(rec)} fields")
         try:
-            rows.append(
-                {
-                    "method": rec[0],
-                    "param": rec[1],
-                    "value": float(rec[2]),
-                    "replicate": int(rec[3]),
-                    "sin_theta": float(rec[4]),
-                    "wall_ms": float(rec[5]),
-                    "status": rec[6],
-                }
-            )
+            rows.append(ResultRow(*(f.type(v) for f, v in zip(_RESULT_FIELDS, rec))))
         except ValueError as exc:
             raise ParseError(f"{path}: row {lineno}: {exc}") from None
     return rows
@@ -410,18 +370,14 @@ def _read_results_csv(path):
 def _series_from_rows(rows):
     by_method = {}
     for row in rows:
-        if row["status"] != "ok" or not math.isfinite(row["sin_theta"]):
+        if row.status != "ok" or not math.isfinite(row.sin_theta):
             continue
-        by_method.setdefault(row["method"], {}).setdefault(row["value"], []).append(
-            row["sin_theta"]
-        )
+        by_method.setdefault(row.method, {}).setdefault(row.value, []).append(row.sin_theta)
     order = [m for m in METHOD_TAGS if m in by_method]
     order += [m for m in by_method if m not in METHOD_TAGS]
-    series = {}
-    for m in order:
-        pts = sorted((v, float(np.mean(ys))) for v, ys in by_method[m].items())
-        series[m] = pts
-    return series
+    return {
+        m: sorted((v, float(np.mean(ys))) for v, ys in by_method[m].items()) for m in order
+    }
 
 
 def _render_svg(series, x_label):
@@ -505,7 +461,7 @@ def cmd_plot(args):
     series = _series_from_rows(rows)
     if not series:
         raise ValueError(f"{args.input}: no plottable rows (all failed or empty)")
-    params = {row["param"] for row in rows}
+    params = {row.param for row in rows}
     x_label = params.pop() if len(params) == 1 else "value"
     svg = _render_svg(series, x_label)
     out_dir = os.path.dirname(os.path.abspath(args.out))
@@ -556,10 +512,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -3,8 +3,16 @@
 Everything here works on plain float ndarrays. Symmetry is treated as an
 exact (bitwise) property, use ``symmetrize`` when an operation such as a
 matrix product can break it in the last ulp.
+
+``_as_int`` and ``_as_real`` are the package's one rule for scalar
+arguments: a finite ``numbers.Real`` (bool and numpy scalars included),
+integral for ``_as_int``. Anything else raises ``ValueError`` naming the
+argument and the value; range checks stay with the caller.
 """
 
+import math
+import numbers
+from contextlib import suppress
 from typing import NamedTuple
 
 import numpy as np
@@ -37,6 +45,25 @@ class EigenDecomp(NamedTuple):
 
     values: np.ndarray
     vectors: np.ndarray
+
+
+def _as_int(x, what, lo=None):
+    """``x`` as an int, if it is a finite integral real number (>= ``lo``)."""
+    if isinstance(x, numbers.Real):
+        with suppress(OverflowError, ValueError):  # int() of inf or NaN
+            if int(x) == x and (lo is None or x >= lo):
+                return int(x)
+    bound = "" if lo is None else f" >= {lo}"
+    raise ValueError(f"{what} must be an integer{bound}, got {x!r}")
+
+
+def _as_real(x, what):
+    """``x`` as a float, if it is a finite real number."""
+    if isinstance(x, numbers.Real):
+        with suppress(OverflowError):  # math.isfinite of an int beyond float range
+            if math.isfinite(x):
+                return float(x)
+    raise ValueError(f"{what} must be a finite number, got {x!r}")
 
 
 def _as_square(m, op):

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import (
+    _as_int,
+    _as_real,
     _as_sym,
     check_orthonormal,
     poffdiag,
@@ -64,9 +66,7 @@ def ledermann_bound(p):
 
     ``(2p + 1 - sqrt(8p + 1)) / 2``; e.g. 0, 3, 10 at p = 1, 6, 15.
     """
-    if int(p) != p or p < 1:
-        raise ValueError(f"ledermann_bound: p must be an integer >= 1, got {p}")
-    p = int(p)
+    p = _as_int(p, "ledermann_bound: p", lo=1)
     return (2 * p + 1 - math.sqrt(8 * p + 1)) / 2
 
 
@@ -138,11 +138,11 @@ def spike_pca_sin_theta(q, s):
     -------
     float in [0, 1]. At q = 0 the limit is 1 below s = 1 and 0 above.
     """
-    q = float(q)
-    s = float(s)
-    if not np.isfinite(q) or not 0.0 <= q < 1.0:
+    q = _as_real(q, "spike_pca_sin_theta: q")
+    s = _as_real(s, "spike_pca_sin_theta: s")
+    if not 0.0 <= q < 1.0:
         raise ValueError(f"spike_pca_sin_theta: q must lie in [0, 1), got {q}")
-    if not np.isfinite(s) or s <= 0.0:
+    if s <= 0.0:
         raise ValueError(f"spike_pca_sin_theta: s must be finite and > 0, got {s}")
     if q == 0.0:
         return 1.0 if s < 1.0 else 0.0
@@ -195,13 +195,13 @@ def sin_theta_event(u, w, tau, lambda_r, rho):
     w = _as_sym(w, "sin_theta_event: w")
     if w.shape[0] != u.shape[0]:
         raise ValueError("sin_theta_event: w shape does not match u")
-    tau = float(tau)
-    if not np.isfinite(tau) or tau < 0:
+    tau = _as_real(tau, "sin_theta_event: tau")
+    if tau < 0:
         raise ValueError(f"sin_theta_event: tau must be finite and >= 0, got {tau}")
-    lambda_r = float(lambda_r)
-    if not np.isfinite(lambda_r) or lambda_r <= 0:
+    lambda_r = _as_real(lambda_r, "sin_theta_event: lambda_r")
+    if lambda_r <= 0:
         raise ValueError(f"sin_theta_event: lambda_r must be finite and > 0, got {lambda_r}")
-    rho = float(rho)
+    rho = _as_real(rho, "sin_theta_event: rho")
     if not 0.0 < rho < 1.0:
         raise ValueError(f"sin_theta_event: rho must lie in (0, 1), got {rho}")
     coherence_term = 3.0 * max_row_norm(u)

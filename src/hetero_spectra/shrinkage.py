@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 # eig_sym stays importable here: perfbench/tracer.py patches this attribute
-from .matcore import _as_sym, _spectrum, eig_sym  # noqa: F401
+from .matcore import _as_int, _as_real, _as_sym, _spectrum, eig_sym  # noqa: F401
 
 __all__ = [
     "ProxSpec",
@@ -55,25 +55,25 @@ class ProxSpec:
         if self.kind not in _KINDS:
             raise ValueError(f"ProxSpec: unknown kind {self.kind!r}")
         if self.kind in ("psd_soft", "sym_soft"):
-            if self.tau is None or not np.isfinite(self.tau) or self.tau < 0:
-                raise ValueError(f"ProxSpec: soft-threshold kinds need tau >= 0, got {self.tau!r}")
+            tau = _as_real(self.tau, "ProxSpec: tau")
+            if tau < 0:
+                raise ValueError(f"ProxSpec: soft-threshold kinds need tau >= 0, got {tau!r}")
             if self.r is not None:
                 raise ValueError("ProxSpec: r is not accepted for soft-threshold kinds")
+            object.__setattr__(self, "tau", tau)
         else:
-            if self.r is None or int(self.r) != self.r or self.r < 1:
-                raise ValueError(f"ProxSpec: rank kinds need integer r >= 1, got {self.r!r}")
             if self.tau is not None:
                 raise ValueError("ProxSpec: tau is not accepted for rank kinds")
             # the operators slice by r, so keep it a Python int (r=2.0 is accepted)
-            object.__setattr__(self, "r", int(self.r))
+            object.__setattr__(self, "r", _as_int(self.r, "ProxSpec: r", lo=1))
 
     @classmethod
     def psd_soft(cls, tau):
-        return cls("psd_soft", tau=float(tau))
+        return cls("psd_soft", tau=tau)
 
     @classmethod
     def sym_soft(cls, tau):
-        return cls("sym_soft", tau=float(tau))
+        return cls("sym_soft", tau=tau)
 
     @classmethod
     def rank(cls, r):
@@ -94,9 +94,7 @@ def _rebuild(vecs, vals):
 
 
 def _check_rank(r, p):
-    if int(r) != r:
-        raise ValueError(f"rank must be an integer, got {r!r}")
-    r = int(r)
+    r = _as_int(r, "rank")
     if not 1 <= r <= p:
         raise ValueError(f"rank must satisfy 1 <= r <= {p}, got {r}")
     return r

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import symmetrize
+from .matcore import _as_int, _as_real, symmetrize
 from .metrics import ledermann_bound, sin_theta
 from .solvers import METHOD_TAGS, METHODS, SOFT_METHODS, extract_subspace
 
@@ -66,23 +66,22 @@ class ModelParams:
 
     def __post_init__(self):
         for name in ("n", "p", "r"):
-            v = getattr(self, name)
-            if int(v) != v or v < 1:
-                raise ValueError(f"ModelParams: {name} must be an integer >= 1, got {v}")
-            object.__setattr__(self, name, int(v))
+            value = _as_int(getattr(self, name), f"ModelParams: {name}", lo=1)
+            object.__setattr__(self, name, value)
         if self.r > min(self.n, self.p):
             raise ValueError(
                 f"ModelParams: r = {self.r} exceeds min(n, p) = {min(self.n, self.p)}"
             )
-        if not np.isfinite(self.kappa) or self.kappa < 1.0:
+        for name in ("kappa", "omega"):
+            value = _as_real(getattr(self, name), f"ModelParams: {name}")
+            object.__setattr__(self, name, value)
+        if self.kappa < 1.0:
             raise ValueError(f"ModelParams: kappa must be >= 1, got {self.kappa}")
         if self.r == 1 and self.kappa != 1.0:
             raise ValueError("ModelParams: r = 1 admits no spread, kappa must be 1")
-        if not np.isfinite(self.omega) or self.omega <= 0.0:
+        if self.omega <= 0.0:
             raise ValueError(f"ModelParams: omega must be > 0, got {self.omega}")
-        if int(self.seed) != self.seed:
-            raise ValueError(f"ModelParams: seed must be an integer, got {self.seed}")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _as_int(self.seed, "ModelParams: seed"))
         if self.r > ledermann_bound(self.p):
             warnings.warn(
                 f"r = {self.r} exceeds the identifiability bound "
@@ -159,20 +158,15 @@ class ExperimentConfig:
         if len(set(methods)) != len(methods):
             raise ValueError("ExperimentConfig: duplicate method tags")
         object.__setattr__(self, "methods", methods)
-        if int(self.replicates) != self.replicates or self.replicates < 1:
-            raise ValueError(
-                f"ExperimentConfig: replicates must be an integer >= 1, got {self.replicates}"
-            )
-        object.__setattr__(self, "replicates", int(self.replicates))
-        if int(self.seed) != self.seed:
-            raise ValueError(f"ExperimentConfig: seed must be an integer, got {self.seed}")
-        object.__setattr__(self, "seed", int(self.seed))
+        replicates = _as_int(self.replicates, "ExperimentConfig: replicates", lo=1)
+        object.__setattr__(self, "replicates", replicates)
+        object.__setattr__(self, "seed", _as_int(self.seed, "ExperimentConfig: seed"))
         if isinstance(self.tau_rule, str):
             if self.tau_rule != "sigma_r_sq_over_16":
                 raise ValueError(f"ExperimentConfig: unknown tau_rule {self.tau_rule!r}")
         else:
-            t = float(self.tau_rule)
-            if not np.isfinite(t) or t <= 0:
+            t = _as_real(self.tau_rule, "ExperimentConfig: tau_rule")
+            if t <= 0:
                 raise ValueError(f"ExperimentConfig: numeric tau_rule must be > 0, got {t}")
             object.__setattr__(self, "tau_rule", t)
         # every swept setting must give a valid model; fail before running
@@ -182,14 +176,7 @@ class ExperimentConfig:
     def model_at(self, value, replicate=0):
         """ModelParams for one sweep value and replicate index."""
         base = dict(n=self.n, p=self.p, r=self.r, kappa=self.kappa, omega=self.omega)
-        if self.vary_param in ("n", "p", "r"):
-            if int(value) != value:
-                raise ValueError(
-                    f"ExperimentConfig: {self.vary_param} takes integers, got {value!r}"
-                )
-            base[self.vary_param] = int(value)
-        else:
-            base[self.vary_param] = float(value)
+        base[self.vary_param] = value
         return ModelParams(seed=self.seed + replicate, **base)
 
 
@@ -252,7 +239,7 @@ def gen_masked(y, theta, rng):
     (masked, observed) : the masked copy and the boolean keep-mask.
     """
     y = np.asarray(y, dtype=float)
-    theta = float(theta)
+    theta = _as_real(theta, "gen_masked: theta")
     if not 0.0 < theta < 1.0:
         raise ValueError(f"gen_masked: theta must lie in (0, 1), got {theta}")
     observed = rng.uniform(size=y.shape) >= theta
@@ -320,9 +307,7 @@ def run_experiment(config, jobs=1):
     """
     if not isinstance(config, ExperimentConfig):
         raise ValueError("run_experiment: config must be an ExperimentConfig")
-    if int(jobs) != jobs or jobs < 1:
-        raise ValueError(f"run_experiment: jobs must be an integer >= 1, got {jobs}")
-    jobs = int(jobs)
+    jobs = _as_int(jobs, "run_experiment: jobs", lo=1)
     cells = [(v, k) for v in config.vary_values for k in range(config.replicates)]
     if jobs == 1:
         per_cell = [_run_cell(config, v, k) for v, k in cells]

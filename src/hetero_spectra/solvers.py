@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matcore import _as_sym, eig_sym, pdiag, poffdiag, nuclear_norm_sym
+from .matcore import _as_int, _as_real, _as_sym, eig_sym, pdiag, poffdiag, nuclear_norm_sym
 from .shrinkage import ProxSpec, _check_rank, _penalty, _prox_with_spectrum
 
 __all__ = [
@@ -89,12 +89,12 @@ class StopRule:
     max_iter: int = 1000
 
     def __post_init__(self):
-        if not np.isfinite(self.rel_tol) or self.rel_tol <= 0:
-            raise ValueError(f"StopRule: rel_tol must be finite and > 0, got {self.rel_tol}")
-        if int(self.max_iter) != self.max_iter or self.max_iter < 1:
-            raise ValueError(f"StopRule: max_iter must be an integer >= 1, got {self.max_iter}")
+        rel_tol = _as_real(self.rel_tol, "StopRule: rel_tol")
+        if rel_tol <= 0:
+            raise ValueError(f"StopRule: rel_tol must be finite and > 0, got {rel_tol}")
+        object.__setattr__(self, "rel_tol", rel_tol)
         # max_iter=10.0 is accepted; the loop needs the int
-        object.__setattr__(self, "max_iter", int(self.max_iter))
+        object.__setattr__(self, "max_iter", _as_int(self.max_iter, "StopRule: max_iter", lo=1))
 
 
 @dataclass
@@ -175,8 +175,8 @@ def objective_F(sigma, L, D, tau):
     D = np.diag(_diag_vector(D, sigma.shape[0], "objective_F: D"))
     if L.shape != sigma.shape:
         raise ValueError("objective_F: L shape does not match sigma")
-    tau = float(tau)
-    if not np.isfinite(tau) or tau < 0:
+    tau = _as_real(tau, "objective_F: tau")
+    if tau < 0:
         raise ValueError(f"objective_F: tau must be finite and >= 0, got {tau}")
     return tau * nuclear_norm_sym(L) + 0.5 * float(np.sum((sigma - L - D) ** 2))
 
@@ -302,8 +302,8 @@ def alternating_solve(sigma, prox, d0=None, stop=None, keep_iterates=False):
 
 
 def _check_tau_positive(tau, op):
-    tau = float(tau)
-    if not np.isfinite(tau) or tau <= 0:
+    tau = _as_real(tau, f"{op}: tau")
+    if tau <= 0:
         raise ValueError(f"{op}: tau must be finite and > 0, got {tau}")
     return tau
 

@@ -166,6 +166,37 @@ def test_parse_matrix_market_errors(tmp_path):
         parse_matrix(short)
 
 
+@pytest.mark.parametrize("symmetry", ["general", "symmetric"])
+def test_parse_matrix_market_fill_against_loops(tmp_path, symmetry):
+    p = 7
+    a = np.random.default_rng(139).standard_normal((p, p))
+    m = symmetrize(a + a.T)
+    # column major; the symmetric form lists the lower triangle, diagonal included
+    entries = [(i, j) for j in range(p) for i in range(j if symmetry == "symmetric" else 0, p)]
+    tokens = [format(m[i, j], ".17g") for i, j in entries]
+    # two entries on some lines: any whitespace layout is accepted
+    body = [" ".join(tokens[k : k + 2]) for k in range(0, 6, 2)] + tokens[6:]
+    lines = [f"%%MatrixMarket matrix array real {symmetry}", f"{p} {p}", *body]
+    path = write(tmp_path / "m.mtx", "\n".join(lines) + "\n")
+    want = np.full((p, p), np.nan)
+    values = iter(float(tok) for tok in tokens)
+    for j in range(p):
+        for i in range(j if symmetry == "symmetric" else 0, p):
+            want[i, j] = next(values)
+            if symmetry == "symmetric":
+                want[j, i] = want[i, j]
+    got = parse_matrix(path)
+    assert np.array_equal(got, want) and np.array_equal(got, m)
+    assert got.flags.c_contiguous
+
+
+def test_parse_matrix_market_bad_token_names_line_and_column(tmp_path):
+    text = "%%MatrixMarket matrix array real general\n% c\n2 2\n1 3\n3 x\n"
+    path = write(tmp_path / "m.mtx", text)
+    with pytest.raises(ParseError, match=r"line 5, column 2: 'x' is not a number"):
+        parse_matrix(path)
+
+
 def test_matrix_market_round_trip_against_csv(tmp_path):
     rng = np.random.default_rng(132)
     a = rng.standard_normal((4, 4))
@@ -330,6 +361,7 @@ def test_solve_every_method(tmp_path, monkeypatch, method):
     assert np.array_equal(D, pdiag(sigma - L))
     summary = json.loads((out / "summary.json").read_text())
     assert summary["objective"] == trace.objective[-1]
+    assert summary["psi"] == float(np.sum((sigma - L - D) ** 2))
     assert summary["iterations"] == trace.iterations == len(rows) == dec.iterations
     assert summary["stop_reason"] in ("converged", "fixed_point", "max_iter")
     assert summary["stop_reason"] == trace.stop_reason
@@ -506,6 +538,44 @@ def test_simulate_invalid_config_exit_codes(tmp_path, capsys):
     missing = str(tmp_path / "missing.json")
     assert main(["simulate", "--config", missing, "--out", str(tmp_path / "o.csv")]) == 1
     capsys.readouterr()
+
+
+_INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"replicates": _INF},
+        {"replicates": None},
+        {"replicates": [5]},
+        {"seed": None},
+        {"seed": _INF},
+        {"n": None},
+        {"omega": None, "vary": {"param": "kappa", "values": [1.0]}},
+        {"tau_rule": None},
+        {"tau_rule": [1]},
+        {"vary": {"param": "omega", "values": [None]}},
+        {"vary": {"param": "n", "values": [_INF]}},
+    ],
+    ids=lambda o: json.dumps(o),
+)
+def test_simulate_malformed_config_value_exit_2(tmp_path, capsys, overrides):
+    # json.dumps writes inf as Infinity, which json.loads reads back
+    cfg = write(tmp_path / "cfg.json", json.dumps(minimal_config(**overrides)))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_read_results_csv_returns_run_experiment_rows(tmp_path):
+    config = minimal_config(methods=["svd", "rmtfa"], replicates=2)
+    cfg = write(tmp_path / "cfg.json", json.dumps(config))
+    out = tmp_path / "rows.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    want = [replace(row, wall_ms=0.0) for row in simlab.run_experiment(load_config(cfg))]
+    assert cli._read_results_csv(str(out)) == want
 
 
 # ---------------------------------------------------------------- plot

@@ -1,14 +1,28 @@
+import re
+
 import numpy as np
 import pytest
 
 from hetero_spectra import (
     EigenSolverError,
+    ExperimentConfig,
+    ModelParams,
+    ProxSpec,
+    StopRule,
     check_orthonormal,
     eig_sym,
+    gen_masked,
+    ledermann_bound,
     nuclear_norm_sym,
+    objective_F,
+    pca_baseline,
     pdiag,
     poffdiag,
+    rmtfa,
+    run_experiment,
+    sin_theta_event,
     spectral_norm_sym,
+    spike_pca_sin_theta,
     symmetrize,
 )
 from oracles import eig2_closed, eig3_closed
@@ -196,3 +210,65 @@ def test_check_orthonormal_flags_bad_basis():
         check_orthonormal(good * 1.001, tol=1e-8)
     with pytest.raises(ValueError):
         check_orthonormal(np.ones((2, 3)))
+
+
+# ---------------------------------------------------------------- scalar arguments
+
+
+def _config(**kw):
+    base = dict(n=8, p=6, r=2, vary_param="omega", vary_values=(1.0,), methods=("svd",))
+    return ExperimentConfig(**{**base, "replicates": 1, **kw})
+
+
+_U = np.eye(4)[:, :1]
+_W = np.zeros((4, 4))
+
+# (entry point, argument name as its message gives it, call, a valid numpy scalar)
+SCALAR_ENTRY_POINTS = [
+    ("ModelParams", "n", lambda x: ModelParams(n=x, p=6, r=2), np.int64(8)),
+    ("ModelParams", "p", lambda x: ModelParams(n=8, p=x, r=2), np.int64(6)),
+    ("ModelParams", "r", lambda x: ModelParams(n=8, p=6, r=x), np.int64(2)),
+    ("ModelParams", "seed", lambda x: ModelParams(n=8, p=6, r=2, seed=x), np.int64(2)),
+    ("ModelParams", "kappa", lambda x: ModelParams(n=8, p=6, r=2, kappa=x), np.float64(2.5)),
+    ("ModelParams", "omega", lambda x: ModelParams(n=8, p=6, r=2, omega=x), np.float64(0.5)),
+    ("ExperimentConfig", "replicates", lambda x: _config(replicates=x), np.int64(2)),
+    ("ExperimentConfig", "seed", lambda x: _config(seed=x), np.int64(2)),
+    ("ExperimentConfig", "tau_rule", lambda x: _config(tau_rule=x), np.float64(0.5)),
+    ("ExperimentConfig", "omega", lambda x: _config(vary_values=(x,)), np.float64(0.5)),
+    ("ExperimentConfig", "n", lambda x: _config(vary_param="n", vary_values=(x,)), np.int64(8)),
+    ("run_experiment", "jobs", lambda x: run_experiment(_config(), jobs=x), np.int64(2)),
+    (
+        "gen_masked",
+        "theta",
+        lambda x: gen_masked(np.ones((2, 2)), x, np.random.default_rng(0)),
+        np.float64(0.5),
+    ),
+    ("ProxSpec", "tau", ProxSpec.psd_soft, np.float64(0.5)),
+    ("ProxSpec", "r", ProxSpec.rank, np.int64(2)),
+    ("pca_baseline", "rank", lambda x: pca_baseline(np.eye(3), x), np.int64(2)),
+    ("StopRule", "rel_tol", lambda x: StopRule(rel_tol=x), np.float64(0.5)),
+    ("StopRule", "max_iter", lambda x: StopRule(max_iter=x), np.int64(2)),
+    ("objective_F", "tau", lambda x: objective_F(np.eye(4), _W, _W, x), np.float64(0.5)),
+    ("rmtfa", "tau", lambda x: rmtfa(np.eye(2), x), np.float64(0.5)),
+    ("ledermann_bound", "p", ledermann_bound, np.int64(2)),
+    ("spike_pca_sin_theta", "q", lambda x: spike_pca_sin_theta(x, 2.0), np.float64(0.5)),
+    ("spike_pca_sin_theta", "s", lambda x: spike_pca_sin_theta(0.5, x), np.float64(0.5)),
+    ("sin_theta_event", "tau", lambda x: sin_theta_event(_U, _W, x, 1.0, 0.5), np.float64(0.5)),
+    ("sin_theta_event", "lambda_r", lambda x: sin_theta_event(_U, _W, 0, x, 0.5), np.float64(0.5)),
+    ("sin_theta_event", "rho", lambda x: sin_theta_event(_U, _W, 0, 1.0, x), np.float64(0.5)),
+]
+_IDS = [f"{op}-{arg}" for op, arg, _, _ in SCALAR_ENTRY_POINTS]
+
+
+@pytest.mark.parametrize("bad", [None, float("nan"), float("inf"), "1", [1]], ids=repr)
+@pytest.mark.parametrize("op, arg, call, good", SCALAR_ENTRY_POINTS, ids=_IDS)
+def test_scalar_arguments_reject_non_numbers(op, arg, call, good, bad):
+    with pytest.raises(ValueError) as exc:
+        call(bad)
+    msg = str(exc.value)
+    assert re.search(rf"\b{arg}\b", msg) and repr(bad) in msg
+
+
+@pytest.mark.parametrize("op, arg, call, good", SCALAR_ENTRY_POINTS, ids=_IDS)
+def test_scalar_arguments_accept_numpy_scalars(op, arg, call, good):
+    call(good)
