@@ -25,7 +25,7 @@ import numpy as np
 
 from .matcore import symmetrize
 from .metrics import heywood_check
-from .shrinkage import ProxSpec, apply_prox
+from .shrinkage import apply_prox
 from .simlab import ExperimentConfig, ResultRow, run_experiment
 from .solvers import METHOD_TAGS, METHODS, SOFT_METHODS, _numerical_rank
 
@@ -196,7 +196,7 @@ def parse_matrix(path):
     if not np.all(np.isfinite(a)):
         raise ParseError(f"{path}: matrix has non-finite entries")
     gap = np.abs(a - a.T)
-    worst = float(np.max(gap)) if gap.size else 0.0
+    worst = float(np.max(gap))
     if worst > _ASYM_TOL:
         i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
         raise ParseError(
@@ -302,8 +302,7 @@ def cmd_solve(args):
     }
     if soft:
         # an independent check of the returned pair, with one full eigensolve
-        kind = ProxSpec.psd_soft(param) if method == "rmtfa" else ProxSpec.sym_soft(param)
-        refit = apply_prox(kind, sigma - dec.D)
+        refit = apply_prox(SOFT_METHODS[method](param), sigma - dec.D)
         summary["fixed_point_residual"] = float(np.linalg.norm(dec.L - refit))
     with open(os.path.join(args.out, "summary.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)

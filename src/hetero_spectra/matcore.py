@@ -177,11 +177,17 @@ def eig_sym(m):
         The underlying solver did not converge.
     """
     vals, vecs = _spectrum(_as_sym(m, "eig_sym"))
-    # orient each eigenvector: largest |entry| positive, first such entry on ties
+    _orient(vecs)
+    return EigenDecomp(vals, vecs)
+
+
+def _orient(vecs):
+    """Flip columns in place so each one's largest |entry| (the first on ties)
+    is positive. Returns the mask of flipped columns."""
     lead = np.argmax(np.abs(vecs), axis=0)
     flip = vecs[lead, np.arange(vecs.shape[1])] < 0.0
     vecs[:, flip] *= -1.0
-    return EigenDecomp(vals, vecs)
+    return flip
 
 
 def nuclear_norm_sym(m):
@@ -193,6 +199,4 @@ def nuclear_norm_sym(m):
 def spectral_norm_sym(m):
     """Spectral norm of a symmetric matrix, the largest |eigenvalue|."""
     m = _as_sym(m, "spectral_norm_sym")
-    if m.shape[0] == 0:
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvalsh(m))))
+    return float(np.abs(np.linalg.eigvalsh(m)).max(initial=0.0))

@@ -85,10 +85,8 @@ class ProxSpec:
 
 
 def _rebuild(vecs, vals):
-    # reconstruct only from the kept spectrum so an empty selection is an
-    # exact zero matrix, not a rounded one
-    if vals.size == 0:
-        return np.zeros((vecs.shape[0], vecs.shape[0]))
+    # reconstruct only from the kept spectrum: an empty selection gives an
+    # exact zero matrix (an empty inner product), not a rounded one
     x = (vecs * vals) @ vecs.T
     return (x + x.T) / 2.0
 

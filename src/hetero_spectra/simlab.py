@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import _as_int, _as_real, symmetrize
+from .matcore import _as_int, _as_real, _orient, symmetrize
 from .metrics import ledermann_bound, sin_theta
 from .solvers import METHOD_TAGS, METHODS, SOFT_METHODS, extract_subspace
 
@@ -145,6 +145,9 @@ class ExperimentConfig:
             raise ValueError(
                 f"ExperimentConfig: vary_param must be one of {VARY_PARAMS}, got {self.vary_param!r}"
             )
+        # the sweep replaces the varied field's base value, so only its type is checked
+        rule = _as_int if self.vary_param in ("n", "p", "r") else _as_real
+        rule(getattr(self, self.vary_param), f"ExperimentConfig: {self.vary_param}")
         values = tuple(self.vary_values)
         if not values:
             raise ValueError("ExperimentConfig: vary_values must be non-empty")
@@ -198,17 +201,10 @@ def gen_signal(params, rng):
     u, _, vh = np.linalg.svd(raw, full_matrices=False)
     U = u[:, :r]
     V = vh[:r].T
-    # deterministic orientation, matching the eigensolver's convention
-    lead = np.argmax(np.abs(U), axis=0)
-    flip = U[lead, np.arange(r)] < 0.0
-    U[:, flip] *= -1.0
-    V[:, flip] *= -1.0
-    s_r = params.sigma_r()
-    if r == 1:
-        svals = np.array([s_r])
-    else:
-        expo = np.arange(r - 1, -1, -1) / (r - 1)
-        svals = params.kappa**expo * s_r
+    # deterministic orientation, the eigensolver's convention
+    V[:, _orient(U)] *= -1.0
+    expo = np.arange(r - 1, -1, -1) / max(r - 1, 1)
+    svals = params.kappa**expo * params.sigma_r()
     M = (U * svals) @ V.T
     return M, U, svals
 

@@ -60,8 +60,8 @@ __all__ = [
 
 METHOD_TAGS = ("svd", "dd", "hpca", "dhpca", "hpca_plus", "rmtfa", "si")
 
-# the tags whose parameter is tau; the others take a rank r
-SOFT_METHODS = ("rmtfa", "si")
+# the tags whose parameter is tau, with their prox; the others take a rank r
+SOFT_METHODS = {"rmtfa": ProxSpec.psd_soft, "si": ProxSpec.sym_soft}
 
 # smallest positive float: the stop rule fires only at an exact fixed point
 _STATIONARY_TOL = 5e-324
@@ -72,7 +72,7 @@ _ROUNDS = 30
 _METHOD_BY_KIND = {
     "psd_soft": "rmtfa",
     "sym_soft": "si",
-    "rank": "paf",
+    "rank": "hpca",
     "rank_psd": "hpca_plus",
 }
 
@@ -108,10 +108,12 @@ class SolverTrace:
 
     ``stop_reason`` is ``"converged"`` (the stop rule's tolerance was met),
     ``"fixed_point"`` (``L_k == L_{k-1}`` exactly) or ``"max_iter"``.
-    ``kept`` holds the kept eigenvalues of the last low-rank step, which are
-    the nonzero eigenvalues of the returned ``L``. ``partial_accepted`` and
-    ``partial_fallbacks`` count the certified partial-spectrum steps taken
-    and the ones that fell back to the full eigensolve.
+    ``kept`` holds the kept eigenvalues of the last low-rank step: the
+    nonzero eigenvalues of the returned ``L``, plus for the rank kinds any
+    zeros the step kept (``svd`` on a zero matrix, ``dd`` on a diagonal
+    one). ``partial_accepted`` and ``partial_fallbacks`` count the certified
+    partial-spectrum steps taken and the ones that fell back to the full
+    eigensolve.
     """
 
     objective: list = field(default_factory=list)
@@ -236,14 +238,6 @@ def alternating_solve(sigma, prox, d0=None, stop=None, keep_iterates=False):
     if prox.r is not None:
         _check_rank(prox.r, p)
 
-    if d0 is None and not sigma.any():
-        # degenerate zero input: nothing to fit
-        zero = np.zeros_like(sigma)
-        trace = SolverTrace([0.0], [0.0], [0.0], True, 0, [zero.copy()] if keep_iterates else None)
-        trace.stop_reason = "fixed_point"
-        trace.kept = np.zeros(0)
-        return Decomposition(zero, zero.copy(), method, param, True, 0), trace
-
     sigma_diag = np.diagonal(sigma).copy()
     d = sigma_diag if d0 is None else _diag_vector(d0, p)
     M = sigma.copy()  # sigma - diag(d): only its diagonal changes
@@ -324,7 +318,7 @@ def rmtfa(sigma, tau, stop=None, d0=None, keep_iterates=False):
     (Decomposition, SolverTrace)
     """
     tau = _check_tau_positive(tau, "rmtfa")
-    return alternating_solve(sigma, ProxSpec.psd_soft(tau), d0, stop, keep_iterates)
+    return alternating_solve(sigma, SOFT_METHODS["rmtfa"](tau), d0, stop, keep_iterates)
 
 
 def soft_impute_diag(sigma, tau, stop=None, d0=None, keep_iterates=False):
@@ -334,7 +328,7 @@ def soft_impute_diag(sigma, tau, stop=None, d0=None, keep_iterates=False):
     returned L can be indefinite.
     """
     tau = _check_tau_positive(tau, "soft_impute_diag")
-    return alternating_solve(sigma, ProxSpec.sym_soft(tau), d0, stop, keep_iterates)
+    return alternating_solve(sigma, SOFT_METHODS["si"](tau), d0, stop, keep_iterates)
 
 
 def _fixed_budget(sigma, prox, rounds, d0=None, keep_iterates=False):
@@ -513,10 +507,7 @@ def pca_baseline(sigma, r):
 def _numerical_rank(vals, rel_cutoff=1e-8):
     # count of |vals| above rel_cutoff times the largest |vals|
     mags = np.abs(vals)
-    top = float(np.max(mags)) if mags.size else 0.0
-    if top == 0.0:
-        return 0
-    return int(np.sum(mags > rel_cutoff * top))
+    return int(np.sum(mags > rel_cutoff * mags.max(initial=0.0)))
 
 
 def numerical_rank_sym(m, rel_cutoff=1e-8):
@@ -547,7 +538,7 @@ def extract_subspace(x, r, return_info=False):
     L = x.L if isinstance(x, Decomposition) else x
     L = _as_sym(L, "extract_subspace")
     r = _check_rank(r, L.shape[0])
-    basis = eig_sym(L).vectors[:, :r]
+    vals, vecs = eig_sym(L)
     if not return_info:
-        return basis
-    return basis, numerical_rank_sym(L) < r
+        return vecs[:, :r]
+    return vecs[:, :r], _numerical_rank(vals) < r

@@ -557,6 +557,10 @@ _INF = float("inf")
         {"tau_rule": [1]},
         {"vary": {"param": "omega", "values": [None]}},
         {"vary": {"param": "n", "values": [_INF]}},
+        # the varied field's base value, which the sweep replaces
+        {"omega": None},
+        {"kappa": "3", "vary": {"param": "kappa", "values": [3.0]}},
+        {"n": _INF, "vary": {"param": "n", "values": [20]}},
     ],
     ids=lambda o: json.dumps(o),
 )

@@ -216,6 +216,18 @@ def test_config_validation():
         ExperimentConfig(n=20, p=8, r=2, vary_param="r", vary_values=(2, 50))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("n", "abc"), ("n", math.inf), ("p", 8.5), ("kappa", "3"), ("omega", None)],
+)
+def test_config_checks_varied_field_base_value(field, value):
+    swept = {"kappa": 3.0, "omega": 1.0}.get(field, 20)
+    ok = dict(n=20, p=8, r=2, vary_param=field, vary_values=(swept,))
+    with pytest.raises(ValueError, match=f"ExperimentConfig: {field}"):
+        ExperimentConfig(**{**ok, field: value})
+    ExperimentConfig(**ok)  # a valid base value builds
+
+
 def test_config_model_at_derived_seed():
     cfg = ExperimentConfig(n=20, p=8, r=2, vary_param="omega", vary_values=(0.5,), seed=7)
     assert cfg.model_at(0.5, replicate=0).seed == 7

@@ -143,11 +143,31 @@ def test_alternating_max_iter_reached_flags_nonconvergence():
 
 
 def test_alternating_zero_sigma_short_circuits():
+    # the loop's first round reproduces L_0 = 0 exactly, so it stops there
     z = np.zeros((4, 4))
     dec, trace = alternating_solve(z, ProxSpec.psd_soft(0.5))
     assert np.array_equal(dec.L, z) and np.array_equal(dec.D, z)
-    assert trace.converged and trace.iterations == 0
+    assert trace.converged and trace.iterations == 1 == len(trace.objective)
     assert trace.stop_reason == "fixed_point" and trace.kept.size == 0
+
+
+@pytest.mark.parametrize("p", [1, 2, 7, 50])
+@pytest.mark.parametrize("tag", METHOD_TAGS)
+def test_zero_sigma_every_method_one_round_of_exact_zeros(tag, p):
+    z = np.zeros((p, p))
+    dec, trace = METHODS[tag](z, 0.5 if tag in SOFT_METHODS else 1)
+    for x in (dec.L, dec.D):
+        assert np.array_equal(x, z) and not np.signbit(x).any()
+    assert dec.iterations == trace.iterations == len(trace.objective) == 1
+    assert trace.objective == trace.psi == [0.0] and trace.stop_reason == "fixed_point"
+
+
+def test_bare_prox_label_is_a_method_tag():
+    sigma = random_psd(np.random.default_rng(46), 6)
+    specs = [ProxSpec.psd_soft(0.1), ProxSpec.sym_soft(0.1), ProxSpec.rank(2), ProxSpec.rank_psd(2)]
+    labels = [alternating_solve(sigma, spec)[0].method for spec in specs]
+    assert labels == ["rmtfa", "si", "hpca", "hpca_plus"]
+    assert set(labels) <= set(METHOD_TAGS)
 
 
 def test_stop_rule_validation():
@@ -846,6 +866,18 @@ def test_extract_subspace_deficiency_flag():
     assert np.max(np.abs(basis.T @ basis - np.eye(4))) < 1e-10
     _, full_rank_flag = extract_subspace(L, 2, return_info=True)
     assert not full_rank_flag
+
+
+def test_extract_subspace_info_runs_one_eigensolve(monkeypatch):
+    L = random_psd(np.random.default_rng(71), 6, rank=2)
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        solve = getattr(np.linalg, name)
+        spy = lambda *a, _name=name, _solve=solve, **k: calls.append(_name) or _solve(*a, **k)
+        monkeypatch.setattr(np.linalg, name, spy)
+    assert extract_subspace(L, 4, return_info=True)[1]
+    assert not extract_subspace(L, 2, return_info=True)[1]
+    assert calls == ["eigh", "eigh"]
 
 
 def test_extract_subspace_accepts_decomposition():
