@@ -86,20 +86,25 @@ def _fmt(x):
 
 def _read_text(path):
     try:
-        with open(path, encoding="utf-8") as fh:
+        # utf-8-sig drops the byte-order mark spreadsheet tools put first
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror or exc}") from None
 
 
-def _floats(lines, path):
-    """Every token of ``lines``, a list of ``(lineno, tokens)``, as one float array."""
+def _floats(tokens, lines, path):
+    """``tokens`` as one float array.
+
+    ``lines``, a list of ``(lineno, tokens)``, holds every token of ``tokens``;
+    a bad token is reported as the first bad one of ``lines`` in file order.
+    """
     try:
-        return np.array([tok for _, tokens in lines for tok in tokens], dtype=float)
+        return np.array(tokens, dtype=float)
     except ValueError:
         # rescan only to name the first bad token
-        for lineno, tokens in lines:
-            for col, tok in enumerate(tokens, start=1):
+        for lineno, line_tokens in lines:
+            for col, tok in enumerate(line_tokens, start=1):
                 try:
                     float(tok)
                 except ValueError:
@@ -107,6 +112,25 @@ def _floats(lines, path):
                         f"{path}: line {lineno}, column {col}: {tok.strip()!r} is not a number"
                     ) from None
         raise
+
+
+def _from_upper(values, n):
+    """The symmetric n x n matrix whose upper triangle, row by row, is ``values``."""
+    a = np.empty((n, n))
+    start = 0
+    for i in range(n):
+        stop = start + n - i
+        a[i, i:] = a[i:, i] = values[start:stop]
+        start = stop
+    return a
+
+
+def _mirrored(rows):
+    """True when every token below the diagonal is the same text as its mirror."""
+    for i, col in enumerate(zip(*rows)):
+        if rows[i][i + 1 :] != list(col[i + 1 :]):
+            return False
+    return True
 
 
 def _parse_csv_matrix(text, path):
@@ -123,7 +147,14 @@ def _parse_csv_matrix(text, path):
         lines.append((lineno, tokens))
     if not lines:
         raise ParseError(f"{path}: no data rows")
-    return _floats(lines, path).reshape(len(lines), -1)
+    n = len(lines)
+    rows = [tokens for _, tokens in lines]
+    # the same text gives the same float, so a file written symmetric
+    # converts its upper triangle only
+    if n == len(rows[0]) and _mirrored(rows):
+        upper = [tok for i, tokens in enumerate(rows) for tok in tokens[i:]]
+        return _from_upper(_floats(upper, lines, path), n)
+    return _floats([tok for tokens in rows for tok in tokens], lines, path).reshape(n, -1)
 
 
 def _parse_mm_array(text, path):
@@ -169,16 +200,13 @@ def _parse_mm_array(text, path):
     if found != expected:
         raise ParseError(f"{path}: expected {expected} entries, found {found}")
 
-    values = _floats(body, path)
+    values = _floats([tok for _, tokens in body for tok in tokens], body, path)
     if symmetry == "general":
         # column major
         return np.ascontiguousarray(values.reshape(ncol, nrow).T)
     # lower triangle, column major, diagonal included: the upper triangle in
-    # row-major order, as np.triu_indices lists it
-    a = np.empty((nrow, ncol))
-    rows, cols = np.triu_indices(nrow)
-    a[cols, rows] = a[rows, cols] = values
-    return a
+    # row-major order
+    return _from_upper(values, nrow)
 
 
 def parse_matrix(path):
@@ -209,14 +237,45 @@ def parse_matrix(path):
     return a
 
 
+def _format_row(values, bits):
+    """``values`` as "%.17g" strings, with ``bits`` their uint64 view.
+
+    A +0.0 entry (all bits zero) is the literal "0" that "%.17g" prints, so
+    a sparse row formats only its nonzero entries.
+    """
+    nonzero = np.flatnonzero(bits)
+    text = ",".join(["%.17g"] * nonzero.size) % tuple(values[nonzero].tolist())
+    if nonzero.size == values.size:
+        return text.split(",")
+    out = ["0"] * values.size
+    for k, s in zip(nonzero.tolist(), text.split(",")):
+        out[k] = s
+    return out
+
+
 def write_matrix_csv(path, m):
-    """Write a matrix as dense CSV at 17 significant digits."""
+    """Write a matrix as dense CSV at 17 significant digits.
+
+    Every finite entry reads back to the same bits. A matrix equal to its
+    transpose bit for bit formats its upper triangle only.
+    """
     m = np.asarray(m, dtype=float)
-    # one printf-style format per row; "%.17g" prints the same digits as _fmt
-    row_fmt = ",".join(["%.17g"] * m.shape[1]) + "\n"
+    if m.ndim != 2:
+        raise ValueError(f"write_matrix_csv: expected a 2-D matrix, got shape {m.shape}")
+    bits = m.view(np.uint64)
+    nrow, ncol = m.shape
+    symmetric = nrow == ncol and np.array_equal(bits, bits.T)
+    # column j's strings above the diagonal wait in below[j] until row j
+    below = [[] for _ in range(nrow)]
     with open(path, "w", encoding="utf-8") as fh:
-        for row in m.tolist():
-            fh.write(row_fmt % tuple(row))
+        for i in range(nrow):
+            start = i if symmetric else 0
+            pieces = _format_row(m[i, start:], bits[i, start:])
+            if symmetric:
+                for col, s in zip(below[i + 1 :], pieces[1:]):
+                    col.append(s)
+            fh.write(",".join(below[i] + pieces) + "\n")
+            below[i] = None
 
 
 # the config's fields are ExperimentConfig's, with "vary" an object holding

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
@@ -107,7 +108,12 @@ def test_matrix_round_trip(tmp_path):
     path = tmp_path / "round.csv"
     write_matrix_csv(str(path), m)
     got = parse_matrix(str(path))
-    assert np.max(np.abs(got - m)) <= 1e-15 * max(1.0, float(np.max(np.abs(m))))
+    # "%.17g" round-trips every finite double
+    assert np.array_equal(got.view(np.uint64), m.view(np.uint64))
+
+
+def _oracle_csv(m):
+    return "".join(",".join(format(x, ".17g") for x in row) + "\n" for row in m)
 
 
 def test_write_matrix_csv_matches_per_element_format(tmp_path):
@@ -120,9 +126,115 @@ def test_write_matrix_csv_matches_per_element_format(tmp_path):
     )
     path = tmp_path / "m.csv"
     write_matrix_csv(str(path), m)
-    expected = "".join(",".join(format(x, ".17g") for x in row) + "\n" for row in m)
+    expected = _oracle_csv(m)
     assert path.read_text(encoding="utf-8") == expected
     assert expected.startswith("-0,4.9406564584124654e-324,1e+308,0.33333333333333331\n")
+
+    rng = np.random.default_rng(140)
+    a = rng.standard_normal((300, 300))
+    sym = a + a.T
+    banded = np.triu(np.tril(sym[:9, :9], 2), -2)  # symmetric rows mixing zeros and nonzeros
+    x = 0.1
+    special = np.array(
+        [
+            [np.nan, np.inf, 5e-324, 0.0],
+            [np.inf, -np.inf, -0.0, 1e-310],
+            [5e-324, -0.0, 0.0, np.nan],
+            [0.0, 1e-310, np.nan, 2.5],
+        ]
+    )
+    cases = {
+        "symmetric p=300": sym,
+        "diagonal": np.diag(rng.standard_normal(40)) * (rng.random(40) < 0.8),
+        "banded": banded,
+        "general 7x5": rng.standard_normal((7, 5)),
+        "0.0/-0.0 mirrored": np.array([[1.0, 0.0], [-0.0, 1.0]]),
+        "one ulp apart": np.array([[1.0, x], [np.nextafter(x, 1.0), 1.0]]),
+        "Fortran order": np.asfortranarray(sym[:30, :30]),
+        "non-contiguous symmetric view": sym[::3, ::3],
+        "non-contiguous general view": a[1::4, ::7],
+        "transposed view": a[:6, :8].T,
+        "nan, inf, subnormals": special,
+        "all zero": np.zeros((3, 3)),
+        "1x1": np.array([[-2.0]]),
+    }
+    for name, m in cases.items():
+        write_matrix_csv(str(path), m)
+        assert path.read_text(encoding="utf-8") == _oracle_csv(m), name
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 2, 2)])
+def test_write_matrix_csv_rejects_non_2d(tmp_path, shape):
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        write_matrix_csv(str(tmp_path / "m.csv"), np.ones(shape))
+    assert not (tmp_path / "m.csv").exists()
+
+
+def _spelled(x, k):
+    """``x`` as one of three texts that all read back as the same float."""
+    x = float(x)
+    return [format(x, ".17g"), repr(x), format(x, ".17e")][k % 3]
+
+
+def test_parse_csv_mirror_path_matches_full_path(tmp_path, monkeypatch):
+    counts = []
+    floats = cli._floats
+
+    def counting(tokens, lines, path):
+        counts.append(len(tokens))
+        return floats(tokens, lines, path)
+
+    monkeypatch.setattr(cli, "_floats", counting)
+    p = 6
+    a = np.random.default_rng(141).standard_normal((p, p))
+    m = a + a.T
+    m[0, 1] = m[1, 0] = 1.0
+    m[2, 3] = m[3, 2] = 0.0
+    same = [[_spelled(m[i, j], min(i, j) + max(i, j)) for j in range(p)] for i in range(p)]
+    mixed = [[_spelled(m[i, j], i) for j in range(p)] for i in range(p)]
+    mixed[0][1], mixed[1][0] = "1", "1e0"
+    mixed[2][3], mixed[3][2] = "0.0", "-0"  # -0.0 == 0.0: the full path keeps both bits
+    for rows, tokens in ((same, p * (p + 1) // 2), (mixed, p * p)):
+        text = "# header\n" + "".join(",".join(r) + "\n" for r in rows)
+        counts.clear()
+        got = parse_matrix(write(tmp_path / "m.csv", text))
+        assert counts == [tokens]
+        want = np.array([[float(t) for t in r] for r in rows])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.signbit(got[3, 2]) and not np.signbit(got[2, 3])
+
+    # a one-ulp mirror takes the full path and the tiny-asymmetry warning
+    x = m[4, 5]
+    rows = [[format(v, ".17g") for v in r] for r in m]
+    rows[5][4] = format(np.nextafter(x, np.inf), ".17g")
+    text = "".join(",".join(r) + "\n" for r in rows)
+    counts.clear()
+    with pytest.warns(UserWarning, match="symmetrized input"):
+        got = parse_matrix(write(tmp_path / "m.csv", text))
+    assert counts == [p * p]
+    want = np.array([[float(t) for t in r] for r in rows])
+    assert np.array_equal(got, symmetrize(want))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [(0, 2), (2, 0)],  # mirrored in both triangles
+        [(2, 0)],  # lower only
+        [(0, 2)],  # upper only
+        [(1, 1)],  # diagonal
+        [(2, 1), (1, 2), (0, 2), (2, 0)],  # two mirrored pairs
+        [(2, 0), (1, 2), (2, 1)],  # a lower token before a mirrored pair
+    ],
+)
+def test_parse_csv_bad_token_first_in_file_order(tmp_path, bad):
+    rows = [["1", "2", "3"], ["2", "4", "5"], ["3", "5", "6"]]
+    for i, j in bad:
+        rows[i][j] = "x"
+    text = "# c\n" + "".join(",".join(r) + "\n" for r in rows)
+    i, j = min(bad)
+    with pytest.raises(ParseError, match=rf"line {i + 2}, column {j + 1}: 'x' is not a number"):
+        parse_matrix(write(tmp_path / "m.csv", text))
 
 
 def test_parse_asymmetric_rejected_names_pair(tmp_path):
@@ -580,6 +692,36 @@ def test_read_results_csv_returns_run_experiment_rows(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
     want = [replace(row, wall_ms=0.0) for row in simlab.run_experiment(load_config(cfg))]
     assert cli._read_results_csv(str(out)) == want
+
+
+BOM = "\ufeff"  # what spreadsheet tools write first in a "CSV UTF-8" file
+
+
+def test_bom_csv_matrix(tmp_path):
+    path = write(tmp_path / "m.csv", BOM + "1,2\n2,3\n")
+    assert np.array_equal(parse_matrix(path), np.array([[1.0, 2.0], [2.0, 3.0]]))
+
+
+def test_bom_matrix_market(tmp_path):
+    text = BOM + "%%MatrixMarket matrix array real symmetric\n2 2\n1\n2\n3\n"
+    path = write(tmp_path / "m.mtx", text)
+    assert np.array_equal(parse_matrix(path), np.array([[1.0, 2.0], [2.0, 3.0]]))
+
+
+def test_bom_simulate_config(tmp_path):
+    plain = load_config(write(tmp_path / "plain.json", json.dumps(minimal_config())))
+    cfg = write(tmp_path / "cfg.json", BOM + json.dumps(minimal_config()))
+    assert load_config(cfg) == plain
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "rows.csv")]) == 0
+
+
+def test_bom_results_csv(tmp_path):
+    cfg = write(tmp_path / "cfg.json", json.dumps(minimal_config()))
+    out = tmp_path / "rows.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    want = cli._read_results_csv(str(out))
+    bom = write(tmp_path / "bom.csv", BOM + out.read_text(encoding="utf-8"))
+    assert cli._read_results_csv(bom) == want
 
 
 # ---------------------------------------------------------------- plot
