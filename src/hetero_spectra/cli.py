@@ -285,7 +285,18 @@ _CONFIG_KEYS = {"vary" if f.name in _VARY_FIELDS else f.name for f in fields(Exp
 _REQUIRED_KEYS = [
     f.name for f in fields(ExperimentConfig) if f.default is MISSING and f.name not in _VARY_FIELDS
 ] + ["vary"]
-_VARY_KEYS = set(_VARY_FIELDS.values())
+# a fixed order, so a config names the same missing key under any hash seed
+_VARY_KEYS = tuple(_VARY_FIELDS.values())
+
+
+def _check_keys(path, obj, known, required, what, missing):
+    """Reject keys of ``obj`` outside ``known``, then name the first missing one."""
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise ValueError(f"{path}: unknown {what} fields: {', '.join(unknown)}")
+    for key in required:
+        if key not in obj:
+            raise ValueError(f"{path}: missing {missing} field {key!r}")
 
 
 def load_config(path):
@@ -297,21 +308,11 @@ def load_config(path):
         raise ValueError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(raw) - _CONFIG_KEYS)
-    if unknown:
-        raise ValueError(f"{path}: unknown config fields: {', '.join(unknown)}")
-    for key in _REQUIRED_KEYS:
-        if key not in raw:
-            raise ValueError(f"{path}: missing required config field {key!r}")
+    _check_keys(path, raw, _CONFIG_KEYS, _REQUIRED_KEYS, "config", "required config")
     vary = raw["vary"]
     if not isinstance(vary, dict):
         raise ValueError(f"{path}: 'vary' must be an object with 'param' and 'values'")
-    unknown = sorted(set(vary) - _VARY_KEYS)
-    if unknown:
-        raise ValueError(f"{path}: unknown vary fields: {', '.join(unknown)}")
-    for key in _VARY_KEYS:
-        if key not in vary:
-            raise ValueError(f"{path}: missing vary field {key!r}")
+    _check_keys(path, vary, _VARY_KEYS, _VARY_KEYS, "vary", "vary")
     if not isinstance(vary["values"], list):
         raise ValueError(f"{path}: vary.values must be a list")
     if "methods" in raw and not isinstance(raw["methods"], list):

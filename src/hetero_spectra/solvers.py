@@ -1,8 +1,9 @@
 """Solvers for the decomposition of a covariance into low-rank plus diagonal.
 
-Every method runs through one loop, :func:`alternating_solve`, which
-alternates a spectral step ``L = prox(sigma - D)`` with the exact refit
-``D = pdiag(sigma - L)``. A method is the choice of prox, start and stop:
+Every method runs through one loop core, ``_run``, which alternates a
+spectral step ``L = prox(sigma - D)`` with the exact refit
+``D = pdiag(sigma - L)`` from a checked diagonal. :func:`alternating_solve`
+is its public form. A method is the choice of prox, start and stop:
 
     tag        prox             start                 stop
     rmtfa      psd_soft(tau)    D_0 = pdiag(sigma)    tolerance, StopRule()
@@ -25,9 +26,10 @@ further round would repeat it bit for bit, and counts as converged: it
 has no tolerance to miss. Its trace reads ``stop_reason == "max_iter"``
 when the budget ran out. The fit's ``Decomposition.method`` is its tag,
 and ``iterations`` counts the rounds run (summed over the ``dhpca``
-stages). The public ``rmtfa``, ``soft_impute_diag``, ``heteropca``,
-``heteropca_psd`` and ``deflated_heteropca`` are thin wrappers on the
-same loop.
+stages). Each fit checks its matrix once and builds its
+``Decomposition`` once: ``rmtfa`` and ``soft_impute_diag`` through
+:func:`alternating_solve`, the fixed-budget fits through ``_fixed_budget``,
+and ``dhpca`` by one ``_run`` per stage on a shared trace.
 """
 
 import math
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matcore import _as_int, _as_real, _as_sym, eig_sym, pdiag, poffdiag, nuclear_norm_sym
+from .matcore import _as_int, _as_real, _as_sym, eig_sym, pdiag, poffdiag
 from .shrinkage import ProxSpec, _check_rank, _penalty, _prox_with_spectrum
 
 __all__ = [
@@ -105,6 +107,8 @@ class SolverTrace:
     ``objective`` is the penalized fit, non-increasing along the run;
     ``fixed_point_residual`` is ``||L_k - L_{k-1}||_F`` (with ``L_0 = 0``);
     ``psi`` is the squared residual ``||Sigma - (L_k + D_k)||_F^2``.
+    A ``dhpca`` trace lists the rounds of each stage in order, and
+    ``iterations`` is their sum; ``k`` and ``L_0 = 0`` then hold per stage.
 
     ``stop_reason`` is ``"converged"`` (the stop rule's tolerance was met),
     ``"fixed_point"`` (``L_k == L_{k-1}`` exactly) or ``"max_iter"``.
@@ -180,7 +184,9 @@ def objective_F(sigma, L, D, tau):
     tau = _as_real(tau, "objective_F: tau")
     if tau < 0:
         raise ValueError(f"objective_F: tau must be finite and >= 0, got {tau}")
-    return tau * nuclear_norm_sym(L) + 0.5 * float(np.sum((sigma - L - D) ** 2))
+    # the nuclear norm of the checked L, as nuclear_norm_sym computes it
+    nuclear = float(np.sum(np.abs(np.linalg.eigvalsh(L))))
+    return tau * nuclear + 0.5 * float(np.sum((sigma - L - D) ** 2))
 
 
 def alternating_solve(sigma, prox, d0=None, stop=None, keep_iterates=False):
@@ -190,7 +196,7 @@ def alternating_solve(sigma, prox, d0=None, stop=None, keep_iterates=False):
     until the stop rule fires. Each half-step is an exact minimization of
     the objective in one block, so the recorded objective never increases.
 
-    The arguments are checked once, on entry. The loop then holds ``D`` as
+    The arguments are checked once, on entry. The loop, ``_run``, holds ``D`` as
     its length-p diagonal and calls the unchecked spectral step of
     :mod:`hetero_spectra.shrinkage`, which assumes a finite, exactly
     symmetric matrix. ``sigma - D`` is exactly symmetric by construction and
@@ -233,20 +239,32 @@ def alternating_solve(sigma, prox, d0=None, stop=None, keep_iterates=False):
     elif not isinstance(stop, StopRule):
         raise ValueError("alternating_solve: stop must be a StopRule")
     p = sigma.shape[0]
-    method = _METHOD_BY_KIND[prox.kind]
-    param = prox.tau if prox.tau is not None else prox.r
     if prox.r is not None:
         _check_rank(prox.r, p)
+    d = np.diagonal(sigma) if d0 is None else _diag_vector(d0, p)
+    trace = SolverTrace(iterates=[] if keep_iterates else None)
+    L, d = _run(sigma, prox, d, stop, trace)
+    method = _METHOD_BY_KIND[prox.kind]
+    param = prox.tau if prox.tau is not None else prox.r
+    return Decomposition(L, np.diag(d), method, param, trace.converged, trace.iterations), trace
 
-    sigma_diag = np.diagonal(sigma).copy()
-    d = sigma_diag if d0 is None else _diag_vector(d0, p)
+
+def _run(sigma, prox, d, stop, trace):
+    """The alternating loop from the diagonal ``d``; returns the final ``(L, d)``.
+
+    ``sigma`` must be checked, ``d`` a finite length-p vector and, for the
+    rank kinds, ``prox.r <= p``. The run appends its rounds to ``trace``:
+    a row per round, its round count to ``iterations``, and ``stop_reason``,
+    ``kept`` and ``converged`` from its last round.
+    """
+    p = sigma.shape[0]
+    sigma_diag = np.diagonal(sigma)
     M = sigma.copy()  # sigma - diag(d): only its diagonal changes
     m_diag = M.reshape(-1)[:: p + 1]
     L_prev = np.zeros_like(sigma)
     prev_norm = 0.0
-    trace = SolverTrace(iterates=[] if keep_iterates else None, stop_reason="max_iter")
+    first = len(trace.objective)
     converged = False
-    L = L_prev
     basis = None
     for k in range(1, stop.max_iter + 1):
         np.subtract(sigma_diag, d, out=m_diag)
@@ -273,26 +291,27 @@ def alternating_solve(sigma, prox, d0=None, stop=None, keep_iterates=False):
         trace.objective.append(_penalty(prox, kept) + 0.5 * psi)
         trace.fixed_point_residual.append(resid)
         trace.psi.append(psi)
-        if keep_iterates:
+        if trace.iterates is not None:
             trace.iterates.append(L.copy())
         L_prev = L
         if resid <= tol:
             converged = True
-            trace.stop_reason = "converged" if resid else "fixed_point"
             break
         prev_norm = _fro(L)
     trace.converged = converged
-    trace.iterations = k
+    trace.iterations += k
+    trace.stop_reason = ("converged" if resid else "fixed_point") if converged else "max_iter"
     trace.kept = kept
     # post-check: each half-step minimizes its block exactly, so the
     # objective can only drift up by float jitter, never genuinely
-    allow = 1e-12 * max(1.0, trace.objective[0])
-    for f_prev, f_next in zip(trace.objective, trace.objective[1:]):
+    run = trace.objective[first:]
+    allow = 1e-12 * max(1.0, run[0])
+    for f_prev, f_next in zip(run, run[1:]):
         if f_next > f_prev + allow:
             raise RuntimeError(
                 f"alternating_solve: objective increased from {f_prev!r} to {f_next!r}"
             )
-    return Decomposition(L, np.diag(d), method, param, converged, k), trace
+    return L, d
 
 
 def _check_tau_positive(tau, op):
@@ -331,28 +350,22 @@ def soft_impute_diag(sigma, tau, stop=None, d0=None, keep_iterates=False):
     return alternating_solve(sigma, SOFT_METHODS["si"](tau), d0, stop, keep_iterates)
 
 
-def _fixed_budget(sigma, prox, rounds, d0=None, keep_iterates=False):
-    """``alternating_solve`` for ``rounds`` rounds, or to an exact fixed point.
+def _fixed_budget(tag, sigma, prox, rounds, zero_start=False, keep_iterates=False):
+    """The fit ``tag``: ``rounds`` rounds of the loop, or to an exact fixed point.
 
-    The run counts as converged: a fixed budget has no tolerance to miss.
+    Checks ``sigma`` (errors name ``tag``) and starts from ``D_0 = 0`` with
+    ``zero_start``, else from ``pdiag(sigma)``. The run counts as
+    converged: a fixed budget has no tolerance to miss.
     """
+    sigma = _as_sym(sigma, tag)
+    p = sigma.shape[0]
+    _check_rank(prox.r, p)
     stop = StopRule(rel_tol=_STATIONARY_TOL, max_iter=rounds)
-    dec, trace = alternating_solve(sigma, prox, d0, stop, keep_iterates)
-    dec.converged = trace.converged = True
-    return dec, trace
-
-
-def _rank_method(tag, make_prox, rounds, zero_start=False):
-    """The :data:`METHODS` entry of a fixed-budget rank method."""
-
-    def fit(sigma, r):
-        sigma = _as_sym(sigma, tag)
-        d0 = np.zeros(sigma.shape[0]) if zero_start else None
-        dec, trace = _fixed_budget(sigma, make_prox(r), rounds, d0)
-        dec.method = tag
-        return dec, trace
-
-    return fit
+    trace = SolverTrace(iterates=[] if keep_iterates else None)
+    d = np.zeros(p) if zero_start else np.diagonal(sigma)
+    L, d = _run(sigma, prox, d, stop, trace)
+    trace.converged = True
+    return Decomposition(L, np.diag(d), tag, prox.r, True, trace.iterations), trace
 
 
 def heteropca(sigma, r, t_max=_ROUNDS, g0=None, keep_iterates=False):
@@ -376,14 +389,10 @@ def heteropca(sigma, r, t_max=_ROUNDS, g0=None, keep_iterates=False):
         With ``keep_iterates=True``, ``(L, G, iterates)`` where
         ``iterates`` lists every ``L_t`` computed.
     """
-    sigma = _as_sym(sigma, "heteropca")
-    base, d0 = sigma, None
-    if g0 is not None:
-        base = _as_sym(g0, "heteropca: g0")
-        if base.shape != sigma.shape:
-            raise ValueError("heteropca: g0 shape does not match sigma")
-        d0 = np.zeros(sigma.shape[0])
-    dec, trace = _fixed_budget(base, ProxSpec.rank(r), t_max, d0, keep_iterates)
+    if g0 is not None and _as_sym(sigma, "heteropca").shape != np.shape(g0):
+        raise ValueError("heteropca: g0 shape does not match sigma")
+    base, op = (sigma, "heteropca") if g0 is None else (g0, "heteropca: g0")
+    dec, trace = _fixed_budget(op, base, ProxSpec.rank(r), t_max, g0 is not None, keep_iterates)
     G = poffdiag(base) + pdiag(dec.L)
     if keep_iterates:
         return dec.L, G, trace.iterates
@@ -393,19 +402,19 @@ def heteropca(sigma, r, t_max=_ROUNDS, g0=None, keep_iterates=False):
 def _deflated_run(sigma, r, rounds):
     """dhpca: ``(Decomposition, SolverTrace, stage ranks)``.
 
-    Each stage is a fixed-budget ``rank(r_k)`` run started from the
-    previous stage's ``D``. The trace lists the rounds of every stage in
-    order; each stage's first residual follows the ``L_0 = 0`` rule.
+    Each stage is one fixed-budget ``_run`` of ``rank(r_k)`` from the
+    previous stage's ``d``, appending its rounds to the one trace; each
+    stage's first residual follows the ``L_0 = 0`` rule.
     """
     sigma = _as_sym(sigma, "deflated_heteropca")
     r = _check_rank(r, sigma.shape[0])
+    stop = StopRule(rel_tol=_STATIONARY_TOL, max_iter=rounds)
     trace = SolverTrace()
-    G = poffdiag(sigma)  # sigma - D_0
-    d = None
+    d = np.diagonal(sigma)
     r_prev = 0
     stage_ranks = []
     while r_prev < r:
-        svals = np.sort(np.abs(np.linalg.eigvalsh(G)))[::-1]
+        svals = np.sort(np.abs(np.linalg.eigvalsh(sigma - np.diag(d))))[::-1]
         svals = np.append(svals, 0.0)  # sigma_{p+1} := 0
         top = svals[r_prev]
         r_k = r  # sup of an empty candidate set
@@ -416,21 +425,11 @@ def _deflated_run(sigma, r, rounds):
             if top / s_c <= 4.0 and (s_c - svals[cand]) / s_c >= 1.0 / r:
                 r_k = cand
                 break
-        dec, stage = _fixed_budget(sigma, ProxSpec.rank(r_k), rounds, d)
-        trace.objective += stage.objective
-        trace.fixed_point_residual += stage.fixed_point_residual
-        trace.psi += stage.psi
-        trace.iterations += stage.iterations
-        d = np.diagonal(dec.D)
-        G = sigma - dec.D
+        L, d = _run(sigma, ProxSpec.rank(r_k), d, stop, trace)
         stage_ranks.append(r_k)
         r_prev = r_k
     trace.converged = True
-    trace.stop_reason = stage.stop_reason
-    trace.kept = stage.kept
-    dec.method = "dhpca"
-    dec.iterations = trace.iterations
-    return dec, trace, stage_ranks
+    return Decomposition(L, np.diag(d), "dhpca", r, True, trace.iterations), trace, stage_ranks
 
 
 def deflated_heteropca(sigma, r, t_max_per_stage=_ROUNDS, return_stages=False):
@@ -472,18 +471,18 @@ def heteropca_psd(sigma, r, t_max=_ROUNDS):
     -------
     (L, D) : final PSD low-rank part and diagonal part.
     """
-    dec, _ = _fixed_budget(sigma, ProxSpec.rank_psd(r), t_max)
+    dec, _ = _fixed_budget("heteropca_psd", sigma, ProxSpec.rank_psd(r), t_max)
     return dec.L, dec.D
 
 
 # tag -> fit(sigma, param) -> (Decomposition, SolverTrace); see the module
 # docstring for each method's prox, start and stop
 METHODS = {
-    "svd": _rank_method("svd", ProxSpec.rank, 1, zero_start=True),
-    "dd": _rank_method("dd", ProxSpec.rank, 1),
-    "hpca": _rank_method("hpca", ProxSpec.rank, _ROUNDS),
+    "svd": lambda sigma, r: _fixed_budget("svd", sigma, ProxSpec.rank(r), 1, zero_start=True),
+    "dd": lambda sigma, r: _fixed_budget("dd", sigma, ProxSpec.rank(r), 1),
+    "hpca": lambda sigma, r: _fixed_budget("hpca", sigma, ProxSpec.rank(r), _ROUNDS),
     "dhpca": lambda sigma, r: _deflated_run(sigma, r, _ROUNDS)[:2],
-    "hpca_plus": _rank_method("hpca_plus", ProxSpec.rank_psd, _ROUNDS),
+    "hpca_plus": lambda sigma, r: _fixed_budget("hpca_plus", sigma, ProxSpec.rank_psd(r), _ROUNDS),
     "rmtfa": rmtfa,
     "si": soft_impute_diag,
 }
@@ -499,9 +498,7 @@ def diag_deleted_pca(sigma, r):
 
 def pca_baseline(sigma, r):
     """Leading r eigenvectors of sigma itself, as a (p, r) basis."""
-    sigma = _as_sym(sigma, "pca_baseline")
-    r = _check_rank(r, sigma.shape[0])
-    return eig_sym(sigma).vectors[:, :r]
+    return extract_subspace(sigma, r)
 
 
 def _numerical_rank(vals, rel_cutoff=1e-8):
@@ -535,10 +532,8 @@ def extract_subspace(x, r, return_info=False):
     -------
     (p, r) ndarray, or ``(basis, deficient)`` with ``return_info=True``.
     """
-    L = x.L if isinstance(x, Decomposition) else x
-    L = _as_sym(L, "extract_subspace")
-    r = _check_rank(r, L.shape[0])
-    vals, vecs = eig_sym(L)
+    vals, vecs = eig_sym(x.L if isinstance(x, Decomposition) else x)
+    r = _check_rank(r, vals.size)
     if not return_info:
         return vecs[:, :r]
     return vecs[:, :r], _numerical_rank(vals) < r

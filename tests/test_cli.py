@@ -1,8 +1,12 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -354,6 +358,22 @@ def test_load_config_missing_required(tmp_path):
     path = write(tmp_path / "cfg.json", json.dumps(cfg))
     with pytest.raises(ValueError, match="vary"):
         load_config(path)
+
+
+def test_missing_vary_field_is_named_the_same_under_any_hash_seed(tmp_path):
+    # 0 and 2 are hash seeds under which a set of the two vary keys iterates
+    # in different orders
+    path = write(tmp_path / "c.json", json.dumps(minimal_config(vary={})))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    errors = []
+    for seed in ("0", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        argv = ["simulate", "--config", path, "--out", str(tmp_path / "r.csv")]
+        cmd = [sys.executable, "-m", "hetero_spectra.cli", *argv]
+        done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2
+        errors.append([ln for ln in done.stderr.splitlines() if ln.startswith("error:")])
+    assert errors[0] == errors[1] == [f"error: {path}: missing vary field 'param'"]
 
 
 def test_load_config_bad_json(tmp_path):

@@ -1,9 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from hetero_spectra import (
     Decomposition,
     ProxSpec,
+    SolverTrace,
     StopRule,
     alternating_solve,
     best_rank_r,
@@ -29,6 +32,7 @@ from hetero_spectra import (
     spike_pca_sin_theta,
     symmetrize,
 )
+from hetero_spectra import matcore, shrinkage, solvers
 from hetero_spectra.solvers import METHOD_TAGS, METHODS, SOFT_METHODS
 from oracles import alternating_reference, heteropca_reference, objective_scalar
 
@@ -671,6 +675,48 @@ def test_deflated_two_tier_spectrum_splits_stages():
     assert numerical_rank_sym(L) <= r
 
 
+def _field_bits(x):
+    """Type, dtype, shape and bytes of a field: equal only if bit for bit."""
+    if x is None:
+        return None
+    a = np.asarray(x)
+    return type(x), a.dtype, a.shape, a.tobytes()
+
+
+def _dhpca_by_stages(sigma, r):
+    """dhpca built from public calls: one fixed-budget rank run per stage."""
+    _, ranks = deflated_heteropca(sigma, r, return_stages=True)
+    stop = StopRule(rel_tol=5e-324, max_iter=30)
+    want = SolverTrace(converged=True)
+    d0 = None
+    for r_k in ranks:
+        dec, stage = alternating_solve(sigma, ProxSpec.rank(r_k), d0=d0, stop=stop)
+        want.objective += stage.objective
+        want.fixed_point_residual += stage.fixed_point_residual
+        want.psi += stage.psi
+        want.iterations += stage.iterations
+        want.stop_reason, want.kept = stage.stop_reason, stage.kept
+        d0 = dec.D
+    return Decomposition(dec.L, dec.D, "dhpca", r, True, want.iterations), want, ranks
+
+
+@pytest.mark.parametrize("case", ["one_stage", "two_tier"])
+def test_dhpca_method_is_its_stages_run_in_turn(case):
+    rng = np.random.default_rng(60)
+    if case == "one_stage":
+        sigma, r = random_psd(np.random.default_rng(58), 8), 1
+    else:
+        p, r = 60, 5
+        u = random_orth(rng, p, r)
+        sigma = symmetrize((u * np.array([100.0, 100.0, 1.0, 1.0, 1.0])) @ u.T)
+    want_dec, want_trace, ranks = _dhpca_by_stages(sigma, r)
+    assert len(ranks) == (1 if case == "one_stage" else 2)
+    dec, trace = METHODS["dhpca"](sigma, r)
+    for got, want in ((dec, want_dec), (trace, want_trace)):
+        for name in (f.name for f in fields(got)):
+            assert _field_bits(getattr(got, name)) == _field_bits(getattr(want, name)), name
+
+
 def test_deflated_zero_sigma():
     L = deflated_heteropca(np.zeros((5, 5)), 3)
     assert np.array_equal(L, np.zeros((5, 5)))
@@ -892,3 +938,45 @@ def test_numerical_rank():
     L = random_psd(rng, 8, rank=3)
     assert numerical_rank_sym(L) == 3
     assert numerical_rank_sym(np.zeros((4, 4))) == 0
+
+
+# ---------------------------------------------------------------- input checks
+
+
+# entry point -> (call on a valid sigma, number of matrix arguments it takes)
+_MATRIX_ENTRY_POINTS = {
+    "alternating_solve": (lambda s: alternating_solve(s, ProxSpec.psd_soft(0.1)), 1),
+    "rmtfa": (lambda s: rmtfa(s, 0.1), 1),
+    "soft_impute_diag": (lambda s: soft_impute_diag(s, 0.1), 1),
+    "heteropca": (lambda s: heteropca(s, 2), 1),
+    "heteropca(g0)": (lambda s: heteropca(s, 2, g0=poffdiag(s)), 2),
+    "heteropca_psd": (lambda s: heteropca_psd(s, 2), 1),
+    "deflated_heteropca": (lambda s: deflated_heteropca(s, 2), 1),
+    "diag_deleted_pca": (lambda s: diag_deleted_pca(s, 2), 1),
+    "pca_baseline": (lambda s: pca_baseline(s, 2), 1),
+    "extract_subspace": (lambda s: extract_subspace(s, 2), 1),
+    "objective_F": (lambda s: objective_F(s, s, pdiag(s), 0.1), 2),
+}
+_MATRIX_ENTRY_POINTS.update(
+    {
+        f"METHODS[{tag}]": (lambda s, tag=tag: METHODS[tag](s, 0.1 if tag in SOFT_METHODS else 2), 1)
+        for tag in METHOD_TAGS
+    }
+)
+
+
+@pytest.mark.parametrize("entry", list(_MATRIX_ENTRY_POINTS))
+def test_each_matrix_argument_is_checked_once(entry, monkeypatch):
+    call, matrices = _MATRIX_ENTRY_POINTS[entry]
+    sigma = random_corr(np.random.default_rng(74), 6)
+    checked = []
+    real = matcore._as_sym
+
+    def counting(m, op):
+        checked.append(op)
+        return real(m, op)
+
+    for module in (solvers, matcore, shrinkage):
+        monkeypatch.setattr(module, "_as_sym", counting)
+    call(sigma)
+    assert len(checked) == matrices, checked
