@@ -7,7 +7,9 @@ Monte-Carlo sweep from a JSON config into a results CSV. ``plot`` renders
 a results CSV to a self-contained SVG.
 
 Exit codes: 0 ok, 1 unreadable input (parse or I/O), 2 invalid arguments
-or config values, 3 solver did not converge (outputs are still written).
+or config values, or an input whose scale overflows the fit, 3 solver did
+not converge (outputs are still written), 4 the eigensolver failed (no
+outputs written).
 """
 
 import argparse
@@ -19,11 +21,10 @@ import os
 import sys
 import warnings
 from dataclasses import MISSING, astuple, fields, replace
-from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .matcore import symmetrize
+from .matcore import EigenSolverError, symmetrize
 from .metrics import heywood_check
 from .shrinkage import apply_prox
 from .simlab import ExperimentConfig, ResultRow, run_experiment
@@ -82,6 +83,15 @@ class ParseError(Exception):
 
 def _fmt(x):
     return format(float(x), ".17g")
+
+
+def escape(text):
+    """``text`` with ``&``, ``>`` and ``<`` replaced by XML entities, in that order.
+
+    The same as ``xml.sax.saxutils.escape``, whose import loads urllib,
+    http, email and ssl.
+    """
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _read_text(path):
@@ -337,15 +347,6 @@ def cmd_solve(args):
 
     dec, trace = METHODS[method](sigma, param)
 
-    os.makedirs(args.out, exist_ok=True)
-    write_matrix_csv(os.path.join(args.out, "L.csv"), dec.L)
-    write_matrix_csv(os.path.join(args.out, "D.csv"), dec.D)
-    with open(os.path.join(args.out, "trace.csv"), "w", encoding="utf-8") as fh:
-        fh.write("k,objective,fixed_point_residual,psi\n")
-        rows = zip(trace.objective, trace.fixed_point_residual, trace.psi)
-        for k, (obj, resid, psi) in enumerate(rows, start=1):
-            fh.write(f"{k},{_fmt(obj)},{_fmt(resid)},{_fmt(psi)}\n")
-
     # the last step's objective, psi and kept spectrum are the returned
     # pair's, since D = pdiag(sigma - L): no eigensolve needed here
     summary = {
@@ -364,9 +365,20 @@ def cmd_solve(args):
         # an independent check of the returned pair, with one full eigensolve
         refit = apply_prox(SOFT_METHODS[method](param), sigma - dec.D)
         summary["fixed_point_residual"] = float(np.linalg.norm(dec.L - refit))
+        del refit  # not held through the writes below
+    # strict JSON, built before any file is written: a failure leaves no outputs
+    summary_text = json.dumps(summary, indent=2, allow_nan=False) + "\n"
+
+    os.makedirs(args.out, exist_ok=True)
+    write_matrix_csv(os.path.join(args.out, "L.csv"), dec.L)
+    write_matrix_csv(os.path.join(args.out, "D.csv"), dec.D)
+    with open(os.path.join(args.out, "trace.csv"), "w", encoding="utf-8") as fh:
+        fh.write("k,objective,fixed_point_residual,psi\n")
+        rows = zip(trace.objective, trace.fixed_point_residual, trace.psi)
+        for k, (obj, resid, psi) in enumerate(rows, start=1):
+            fh.write(f"{k},{_fmt(obj)},{_fmt(resid)},{_fmt(psi)}\n")
     with open(os.path.join(args.out, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+        fh.write(summary_text)
 
     if not dec.converged:
         print(
@@ -577,6 +589,9 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except EigenSolverError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

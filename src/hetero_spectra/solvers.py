@@ -202,7 +202,8 @@ def alternating_solve(sigma, prox, d0=None, stop=None, keep_iterates=False):
     symmetric matrix. ``sigma - D`` is exactly symmetric by construction and
     its off-diagonal entries are ``sigma``'s, so only its diagonal is checked
     for finiteness on each iteration; a non-finite entry raises
-    ``ValueError``.
+    ``ValueError``. So does a round whose objective or residual is not
+    finite, as when the input's scale overflows the norms.
 
     For ``psd_soft`` at large p with few kept eigenpairs, iterations after
     the first may take the certified partial-spectrum step of
@@ -288,7 +289,14 @@ def _run(sigma, prox, d, stop, trace):
         d = r_diag.copy()
         r_diag[:] = 0.0  # R is now poffdiag(sigma - L)
         psi = float((R**2).sum())
-        trace.objective.append(_penalty(prox, kept) + 0.5 * psi)
+        objective = _penalty(prox, kept) + 0.5 * psi
+        # an overflowed norm makes the tolerance test meaningless
+        if not (math.isfinite(objective) and math.isfinite(resid)):
+            raise ValueError(
+                f"alternating_solve: round {k} objective or residual is not finite; "
+                "the input's scale overflows the fit"
+            )
+        trace.objective.append(objective)
         trace.fixed_point_residual.append(resid)
         trace.psi.append(psi)
         if trace.iterates is not None:

@@ -572,6 +572,69 @@ def test_solve_nonconvergence_exit_code(tmp_path, monkeypatch, capsys):
     assert "did not converge" in capsys.readouterr().err
 
 
+def _run_module(argv):
+    """``python -m hetero_spectra`` in a fresh interpreter on this checkout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    cmd = [sys.executable, "-m", "hetero_spectra", *argv]
+    return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+
+
+def _scaled_desk_input(tmp_path, scale):
+    inst = gen_instance(ModelParams(n=40, p=8, r=2, seed=0))
+    inp = tmp_path / "sigma.csv"
+    write_matrix_csv(str(inp), inst.sigma * scale)
+    return str(inp), repr(inst.params.sigma_r() ** 2 / 16.0 * scale)
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_solve_overflowing_scale_exits_2_without_outputs(tmp_path):
+    # entries near 1e162 overflow the first round's norms, which would make
+    # the tolerance infinite and write Infinity into summary.json
+    inp, tau = _scaled_desk_input(tmp_path, 1e160)
+    out = tmp_path / "out"
+    done = _run_module(["solve", "--input", inp, "--method", "rmtfa", "--tau", tau, "--out", str(out)])
+    assert done.returncode == 2
+    errors = [ln for ln in done.stderr.splitlines() if ln.startswith("error:")]
+    assert len(errors) == 1 and "not finite" in errors[0]
+    assert not out.exists()
+
+
+def test_solve_large_finite_scale_writes_strict_json(tmp_path):
+    inp, tau = _scaled_desk_input(tmp_path, 1e100)
+    out = tmp_path / "out"
+    assert main(["solve", "--input", inp, "--method", "rmtfa", "--tau", tau, "--out", str(out)]) == 0
+    summary = _strict_json((out / "summary.json").read_text())
+    assert summary["converged"] is True and summary["stop_reason"] == "converged"
+    assert all(math.isfinite(x) for row in _read_trace_csv(out / "trace.csv") for x in row)
+
+
+def test_solve_eigensolver_failure_exit_4(tmp_path, monkeypatch, capsys):
+    def failing(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    inp = write(tmp_path / "m.csv", "2,1\n1,2\n")
+    out = tmp_path / "out"
+    ret = main(["solve", "--input", inp, "--method", "rmtfa", "--tau", "0.5", "--out", str(out)])
+    assert ret == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: eig_sym: solver did not converge")
+    assert not out.exists()
+
+
+def test_python_m_hetero_spectra_runs_the_cli():
+    done = _run_module(["--help"])
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: hetero-spectra")
+
+
 # ---------------------------------------------------------------- simulate
 
 
@@ -846,6 +909,28 @@ def test_plot_empty_data(tmp_path, capsys):
     )
     assert main(["plot", "--input", all_failed, "--out", str(tmp_path / "fig.svg")]) == 2
     capsys.readouterr()
+
+
+def test_plot_escapes_markup_in_method_tags(tmp_path):
+    rows = write(
+        tmp_path / "rows.csv",
+        "# hetero-spectra results v1\n"
+        "method,param,value,replicate,sin_theta,wall_ms,status\n"
+        "x&<y>,omega,1,0,0.25,0,ok\n",
+    )
+    out = tmp_path / "fig.svg"
+    assert main(["plot", "--input", rows, "--out", str(out)]) == 0
+    assert "x&amp;&lt;y&gt;" in out.read_text(encoding="utf-8")
+    root = svg_root(out)
+    assert "x&<y>" in [t.text for t in root.findall(f".//{SVG_NS}text")]
+    assert "x&<y>" in json.loads(root.find(f".//{SVG_NS}metadata").text)["series"]
+
+
+def test_escape_matches_saxutils():
+    from xml.sax.saxutils import escape
+
+    for s in ["", "plain", "x&<y>", "&amp;", "<<&>>", "a > b & c < d", '"quoted" \'x\'', "&gt;<"]:
+        assert cli.escape(s) == escape(s)
 
 
 def test_plot_skips_failed_rows(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from hetero_spectra import (
     Decomposition,
+    ModelParams,
     ProxSpec,
     SolverTrace,
     StopRule,
@@ -15,6 +16,7 @@ from hetero_spectra import (
     diag_deleted_pca,
     eig_sym,
     extract_subspace,
+    gen_instance,
     heteropca,
     heteropca_psd,
     nuclear_norm_sym,
@@ -397,6 +399,30 @@ def test_heteropca_nonfinite_round_raises(monkeypatch):
     with pytest.raises(ValueError):
         heteropca(sigma, 2)
     assert len(calls) == 1
+
+
+def _desk_p8():
+    inst = gen_instance(ModelParams(n=40, p=8, r=2, seed=0))
+    return inst.sigma, inst.params.sigma_r() ** 2 / 16.0
+
+
+@pytest.mark.parametrize("tag", METHOD_TAGS)
+def test_overflowing_scale_raises_instead_of_converging(tag):
+    # at 1e160 the first round's norms overflow to inf, and an infinite
+    # tolerance would pass the stop test at once
+    sigma, tau = _desk_p8()
+    param = tau * 1e160 if tag in SOFT_METHODS else 2
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="round 1 .* not finite"):
+        METHODS[tag](sigma * 1e160, param)
+
+
+def test_large_finite_scale_converges_as_at_scale_one():
+    sigma, tau = _desk_p8()
+    dec, trace = rmtfa(sigma, tau)
+    big, big_trace = rmtfa(sigma * 1e100, tau * 1e100)
+    assert big.converged and big.iterations == dec.iterations
+    assert np.isfinite(big_trace.objective).all()
+    assert np.allclose(big.L, dec.L * 1e100, rtol=1e-9, atol=1e-9 * 1e100)
 
 
 # ---------------------------------------------------------------- rmtfa
