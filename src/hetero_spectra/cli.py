@@ -14,7 +14,6 @@ outputs written).
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
@@ -24,7 +23,7 @@ from dataclasses import MISSING, astuple, fields, replace
 
 import numpy as np
 
-from .matcore import EigenSolverError, symmetrize
+from .matcore import EigenSolverError, _fro, symmetrize
 from .metrics import heywood_check
 from .shrinkage import apply_prox
 from .simlab import ExperimentConfig, ResultRow, run_experiment
@@ -168,9 +167,8 @@ def _parse_csv_matrix(text, path):
 
 
 def _parse_mm_array(text, path):
+    # parse_matrix sends only text holding the banner, so lines is not empty
     lines = text.splitlines()
-    if not lines:
-        raise ParseError(f"{path}: empty file")
     header = lines[0].split()
     if len(header) != 5 or header[0] != "%%MatrixMarket":
         raise ParseError(f"{path}: line 1: malformed MatrixMarket header")
@@ -345,7 +343,9 @@ def cmd_solve(args):
         raise ValueError(f"{other} is not accepted for method {method}")
     param = given[flag]
 
-    dec, trace = METHODS[method](sigma, param)
+    # an overflowing scale is reported once, by the fit's finite check
+    with np.errstate(over="ignore", invalid="ignore"):
+        dec, trace = METHODS[method](sigma, param)
 
     # the last step's objective, psi and kept spectrum are the returned
     # pair's, since D = pdiag(sigma - L): no eigensolve needed here
@@ -364,7 +364,7 @@ def cmd_solve(args):
     if soft:
         # an independent check of the returned pair, with one full eigensolve
         refit = apply_prox(SOFT_METHODS[method](param), sigma - dec.D)
-        summary["fixed_point_residual"] = float(np.linalg.norm(dec.L - refit))
+        summary["fixed_point_residual"] = _fro(dec.L - refit)
         del refit  # not held through the writes below
     # strict JSON, built before any file is written: a failure leaves no outputs
     summary_text = json.dumps(summary, indent=2, allow_nan=False) + "\n"
@@ -422,7 +422,7 @@ def _read_results_csv(path):
     lines = [ln for ln in _read_text(path).splitlines() if ln.strip() and not ln.startswith("#")]
     if not lines:
         raise ParseError(f"{path}: missing header line")
-    reader = csv.reader(io.StringIO("\n".join(lines)))
+    reader = csv.reader(lines)
     header = next(reader)
     if header != RESULTS_HEADER:
         raise ParseError(f"{path}: unexpected header {header!r}")

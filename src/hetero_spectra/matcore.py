@@ -82,6 +82,12 @@ def _as_sym(m, op):
     return m
 
 
+def _fro(x):
+    """Frobenius norm of a real array, as ``np.linalg.norm(x)`` computes it."""
+    v = x.ravel(order="K")
+    return math.sqrt(v.dot(v))
+
+
 def pdiag(m):
     """Diagonal part of a square matrix (off-diagonal entries zeroed)."""
     m = _as_square(m, "pdiag")

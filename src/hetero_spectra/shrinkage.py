@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 # eig_sym stays importable here: perfbench/tracer.py patches this attribute
-from .matcore import _as_int, _as_real, _as_sym, _spectrum, eig_sym  # noqa: F401
+from .matcore import _as_int, _as_real, _as_sym, _fro, _spectrum, eig_sym  # noqa: F401
 
 __all__ = [
     "ProxSpec",
@@ -231,7 +231,7 @@ def _psd_soft_partial(m, tau, basis):
     value of the block exceeds tau, or when a test above fails.
     """
     eigh = np.linalg.eigh  # looked up per call, like _spectrum's
-    tol = _PARTIAL_TOL * math.sqrt(float(np.vdot(m, m)))
+    tol = _PARTIAL_TOL * _fro(m)
     y = basis
     my = m @ y
     prev = math.inf
@@ -245,7 +245,7 @@ def _psd_soft_partial(m, tau, basis):
         if k == theta.size:
             return None
         r = my[:, :k] - y[:, :k] * theta[:k]
-        res = math.sqrt(float(np.vdot(r, r)))
+        res = _fro(r)
         if res <= tol:
             break
         # give up early when the observed rate cannot reach tol in the steps left

@@ -21,12 +21,12 @@ for the tags in :data:`SOFT_METHODS` and the rank r for the others. So
 ``svd`` is the best rank-r approximation of ``sigma`` (the r eigenvalues
 largest in magnitude) and ``dd`` that of ``poffdiag(sigma)``.
 
-A fixed-budget run stops early only at an exact fixed point, when a
-further round would repeat it bit for bit, and counts as converged: it
-has no tolerance to miss. Its trace reads ``stop_reason == "max_iter"``
-when the budget ran out. The fit's ``Decomposition.method`` is its tag,
-and ``iterations`` counts the rounds run (summed over the ``dhpca``
-stages). Each fit checks its matrix once and builds its
+A fixed budget is ``rel_tol = 0``: it stops early only at an exact fixed
+point, when a further round would repeat it bit for bit, and counts as
+converged, having no tolerance to miss. Its trace reads ``stop_reason ==
+"max_iter"`` when the budget ran out. The fit's ``Decomposition.method``
+is its tag, and ``iterations`` counts the rounds run (summed over the
+``dhpca`` stages). Each fit checks its matrix once and builds its
 ``Decomposition`` once: ``rmtfa`` and ``soft_impute_diag`` through
 :func:`alternating_solve`, the fixed-budget fits through ``_fixed_budget``,
 and ``dhpca`` by one ``_run`` per stage on a shared trace.
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matcore import _as_int, _as_real, _as_sym, eig_sym, pdiag, poffdiag
+from .matcore import _as_int, _as_real, _as_sym, _fro, eig_sym, pdiag, poffdiag
 from .shrinkage import ProxSpec, _check_rank, _penalty, _prox_with_spectrum
 
 __all__ = [
@@ -65,9 +65,6 @@ METHOD_TAGS = ("svd", "dd", "hpca", "dhpca", "hpca_plus", "rmtfa", "si")
 # the tags whose parameter is tau, with their prox; the others take a rank r
 SOFT_METHODS = {"rmtfa": ProxSpec.psd_soft, "si": ProxSpec.sym_soft}
 
-# smallest positive float: the stop rule fires only at an exact fixed point
-_STATIONARY_TOL = 5e-324
-
 # default rounds of the fixed-budget rank methods, and of each dhpca stage
 _ROUNDS = 30
 
@@ -84,7 +81,9 @@ class StopRule:
     """Stopping rule for the alternating solvers.
 
     Iteration halts once ``||L_k - L_{k-1}||_F <= rel_tol * max(1, ||L_{k-1}||_F)``
-    or after ``max_iter`` low-rank updates, whichever comes first.
+    or after ``max_iter`` low-rank updates, whichever comes first. The rank
+    fits' fixed budget is ``rel_tol = 0``, which a ``StopRule`` does not
+    take: it stops early only at an exact fixed point and counts as converged.
     """
 
     rel_tol: float = 1e-10
@@ -111,7 +110,8 @@ class SolverTrace:
     ``iterations`` is their sum; ``k`` and ``L_0 = 0`` then hold per stage.
 
     ``stop_reason`` is ``"converged"`` (the stop rule's tolerance was met),
-    ``"fixed_point"`` (``L_k == L_{k-1}`` exactly) or ``"max_iter"``.
+    ``"fixed_point"`` (``L_k == L_{k-1}`` exactly) or ``"max_iter"``; a fixed
+    budget (``rel_tol = 0``) has no tolerance to miss, so it is ``converged``.
     ``kept`` holds the kept eigenvalues of the last low-rank step: the
     nonzero eigenvalues of the returned ``L``, plus for the rank kinds any
     zeros the step kept (``svd`` on a zero matrix, ``dd`` on a diagonal
@@ -162,13 +162,6 @@ def _diag_vector(d, p, name="d0"):
             raise ValueError(f"{name}: off-diagonal entries must be exactly zero")
         d = np.diagonal(d)
     return d
-
-
-def _fro(x):
-    # np.linalg.norm(x) for a real array, computed the same way (square root
-    # of the dot product of the flattened entries) without its dispatch
-    v = x.ravel(order="K")
-    return math.sqrt(v.dot(v))
 
 
 def objective_F(sigma, L, D, tau):
@@ -244,19 +237,23 @@ def alternating_solve(sigma, prox, d0=None, stop=None, keep_iterates=False):
         _check_rank(prox.r, p)
     d = np.diagonal(sigma) if d0 is None else _diag_vector(d0, p)
     trace = SolverTrace(iterates=[] if keep_iterates else None)
-    L, d = _run(sigma, prox, d, stop, trace)
+    L, d = _run("alternating_solve", sigma, prox, d, stop.rel_tol, stop.max_iter, trace)
     method = _METHOD_BY_KIND[prox.kind]
     param = prox.tau if prox.tau is not None else prox.r
     return Decomposition(L, np.diag(d), method, param, trace.converged, trace.iterations), trace
 
 
-def _run(sigma, prox, d, stop, trace):
+def _run(op, sigma, prox, d, rel_tol, max_iter, trace):
     """The alternating loop from the diagonal ``d``; returns the final ``(L, d)``.
 
     ``sigma`` must be checked, ``d`` a finite length-p vector and, for the
-    rank kinds, ``prox.r <= p``. The run appends its rounds to ``trace``:
-    a row per round, its round count to ``iterations``, and ``stop_reason``,
-    ``kept`` and ``converged`` from its last round.
+    rank kinds, ``prox.r <= p``. It stops by the :class:`StopRule` test on
+    ``rel_tol`` and ``max_iter``; a fixed budget is ``rel_tol = 0``, which
+    stops early only at an exact fixed point and counts as converged. Each
+    round's objective is checked against the previous one; errors name
+    ``op``. The run appends to ``trace`` a row per round, its round count to
+    ``iterations``, and ``stop_reason``, ``kept`` and ``converged`` from its
+    last round.
     """
     p = sigma.shape[0]
     sigma_diag = np.diagonal(sigma)
@@ -264,20 +261,18 @@ def _run(sigma, prox, d, stop, trace):
     m_diag = M.reshape(-1)[:: p + 1]
     L_prev = np.zeros_like(sigma)
     prev_norm = 0.0
-    first = len(trace.objective)
-    converged = False
     basis = None
-    for k in range(1, stop.max_iter + 1):
+    for k in range(1, max_iter + 1):
         np.subtract(sigma_diag, d, out=m_diag)
         if not np.isfinite(m_diag).all():
-            raise ValueError("alternating_solve: sigma - D has non-finite entries")
+            raise ValueError(f"{op}: sigma - D has non-finite entries")
         L, kept, step = _prox_with_spectrum(prox, M, basis)
         resid = _fro(L - L_prev)
-        tol = stop.rel_tol * max(1.0, prev_norm)
+        tol = rel_tol * max(1.0, prev_norm)
         if basis is not None:
             trace.partial_accepted += step.partial
             trace.partial_fallbacks += not step.partial
-        if step.partial and (resid <= tol or k == stop.max_iter):
+        if step.partial and (resid <= tol or k == max_iter):
             # re-certify the last step with the full operator on the same M
             L, kept, step = _prox_with_spectrum(prox, M)
             resid = _fro(L - L_prev)
@@ -293,8 +288,16 @@ def _run(sigma, prox, d, stop, trace):
         # an overflowed norm makes the tolerance test meaningless
         if not (math.isfinite(objective) and math.isfinite(resid)):
             raise ValueError(
-                f"alternating_solve: round {k} objective or residual is not finite; "
+                f"{op}: round {k} objective or residual is not finite; "
                 "the input's scale overflows the fit"
+            )
+        # each half-step minimizes its block exactly, so the objective can
+        # only drift up by float jitter, never genuinely
+        if k == 1:
+            allow = 1e-12 * max(1.0, objective)
+        elif objective > trace.objective[-1] + allow:
+            raise RuntimeError(
+                f"{op}: objective increased from {trace.objective[-1]!r} to {objective!r}"
             )
         trace.objective.append(objective)
         trace.fixed_point_residual.append(resid)
@@ -303,22 +306,13 @@ def _run(sigma, prox, d, stop, trace):
             trace.iterates.append(L.copy())
         L_prev = L
         if resid <= tol:
-            converged = True
             break
         prev_norm = _fro(L)
-    trace.converged = converged
+    stopped = resid <= tol
+    trace.converged = stopped or rel_tol == 0.0
     trace.iterations += k
-    trace.stop_reason = ("converged" if resid else "fixed_point") if converged else "max_iter"
+    trace.stop_reason = ("converged" if resid else "fixed_point") if stopped else "max_iter"
     trace.kept = kept
-    # post-check: each half-step minimizes its block exactly, so the
-    # objective can only drift up by float jitter, never genuinely
-    run = trace.objective[first:]
-    allow = 1e-12 * max(1.0, run[0])
-    for f_prev, f_next in zip(run, run[1:]):
-        if f_next > f_prev + allow:
-            raise RuntimeError(
-                f"alternating_solve: objective increased from {f_prev!r} to {f_next!r}"
-            )
     return L, d
 
 
@@ -362,18 +356,15 @@ def _fixed_budget(tag, sigma, prox, rounds, zero_start=False, keep_iterates=Fals
     """The fit ``tag``: ``rounds`` rounds of the loop, or to an exact fixed point.
 
     Checks ``sigma`` (errors name ``tag``) and starts from ``D_0 = 0`` with
-    ``zero_start``, else from ``pdiag(sigma)``. The run counts as
-    converged: a fixed budget has no tolerance to miss.
+    ``zero_start``, else from ``pdiag(sigma)``.
     """
     sigma = _as_sym(sigma, tag)
     p = sigma.shape[0]
     _check_rank(prox.r, p)
-    stop = StopRule(rel_tol=_STATIONARY_TOL, max_iter=rounds)
     trace = SolverTrace(iterates=[] if keep_iterates else None)
     d = np.zeros(p) if zero_start else np.diagonal(sigma)
-    L, d = _run(sigma, prox, d, stop, trace)
-    trace.converged = True
-    return Decomposition(L, np.diag(d), tag, prox.r, True, trace.iterations), trace
+    L, d = _run(tag, sigma, prox, d, 0.0, rounds, trace)
+    return Decomposition(L, np.diag(d), tag, prox.r, trace.converged, trace.iterations), trace
 
 
 def heteropca(sigma, r, t_max=_ROUNDS, g0=None, keep_iterates=False):
@@ -397,6 +388,7 @@ def heteropca(sigma, r, t_max=_ROUNDS, g0=None, keep_iterates=False):
         With ``keep_iterates=True``, ``(L, G, iterates)`` where
         ``iterates`` lists every ``L_t`` computed.
     """
+    t_max = _as_int(t_max, "heteropca: t_max", lo=1)
     if g0 is not None and _as_sym(sigma, "heteropca").shape != np.shape(g0):
         raise ValueError("heteropca: g0 shape does not match sigma")
     base, op = (sigma, "heteropca") if g0 is None else (g0, "heteropca: g0")
@@ -416,7 +408,6 @@ def _deflated_run(sigma, r, rounds):
     """
     sigma = _as_sym(sigma, "deflated_heteropca")
     r = _check_rank(r, sigma.shape[0])
-    stop = StopRule(rel_tol=_STATIONARY_TOL, max_iter=rounds)
     trace = SolverTrace()
     d = np.diagonal(sigma)
     r_prev = 0
@@ -433,11 +424,11 @@ def _deflated_run(sigma, r, rounds):
             if top / s_c <= 4.0 and (s_c - svals[cand]) / s_c >= 1.0 / r:
                 r_k = cand
                 break
-        L, d = _run(sigma, ProxSpec.rank(r_k), d, stop, trace)
+        L, d = _run("deflated_heteropca", sigma, ProxSpec.rank(r_k), d, 0.0, rounds, trace)
         stage_ranks.append(r_k)
         r_prev = r_k
-    trace.converged = True
-    return Decomposition(L, np.diag(d), "dhpca", r, True, trace.iterations), trace, stage_ranks
+    dec = Decomposition(L, np.diag(d), "dhpca", r, trace.converged, trace.iterations)
+    return dec, trace, stage_ranks
 
 
 def deflated_heteropca(sigma, r, t_max_per_stage=_ROUNDS, return_stages=False):
@@ -462,7 +453,8 @@ def deflated_heteropca(sigma, r, t_max_per_stage=_ROUNDS, return_stages=False):
     L : final low-rank iterate.
         With ``return_stages=True``, ``(L, stage_ranks)``.
     """
-    dec, _, stage_ranks = _deflated_run(sigma, r, t_max_per_stage)
+    rounds = _as_int(t_max_per_stage, "deflated_heteropca: t_max_per_stage", lo=1)
+    dec, _, stage_ranks = _deflated_run(sigma, r, rounds)
     if return_stages:
         return dec.L, stage_ranks
     return dec.L
@@ -479,6 +471,7 @@ def heteropca_psd(sigma, r, t_max=_ROUNDS):
     -------
     (L, D) : final PSD low-rank part and diagonal part.
     """
+    t_max = _as_int(t_max, "heteropca_psd: t_max", lo=1)
     dec, _ = _fixed_budget("heteropca_psd", sigma, ProxSpec.rank_psd(r), t_max)
     return dec.L, dec.D
 

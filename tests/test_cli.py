@@ -594,16 +594,28 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-def test_solve_overflowing_scale_exits_2_without_outputs(tmp_path):
+def _assert_overflow_exits_2(tmp_path, method, op):
     # entries near 1e162 overflow the first round's norms, which would make
-    # the tolerance infinite and write Infinity into summary.json
+    # the tolerance infinite and write Infinity into summary.json; the
+    # overflow is reported once, with no numpy warnings before it
     inp, tau = _scaled_desk_input(tmp_path, 1e160)
     out = tmp_path / "out"
-    done = _run_module(["solve", "--input", inp, "--method", "rmtfa", "--tau", tau, "--out", str(out)])
+    flag = ["--tau", tau] if method == "rmtfa" else ["--rank", "2"]
+    done = _run_module(["solve", "--input", inp, "--method", method, *flag, "--out", str(out)])
     assert done.returncode == 2
-    errors = [ln for ln in done.stderr.splitlines() if ln.startswith("error:")]
-    assert len(errors) == 1 and "not finite" in errors[0]
+    assert done.stderr.splitlines() == [
+        f"error: {op}: round 1 objective or residual is not finite; "
+        "the input's scale overflows the fit"
+    ]
     assert not out.exists()
+
+
+def test_solve_overflowing_scale_exits_2_without_outputs(tmp_path):
+    _assert_overflow_exits_2(tmp_path, "rmtfa", "alternating_solve")
+
+
+def test_solve_overflowing_scale_names_the_rank_fit(tmp_path):
+    _assert_overflow_exits_2(tmp_path, "hpca", "hpca")
 
 
 def test_solve_large_finite_scale_writes_strict_json(tmp_path):
@@ -947,3 +959,74 @@ def test_plot_skips_failed_rows(tmp_path):
     meta = svg_root(out).find(f".//{SVG_NS}metadata")
     series = json.loads(meta.text)["series"]
     assert series["svd"] == [[1.0, 0.25], [2.0, 0.5]]
+
+
+# ---------------------------------------------------------------- bad inputs
+
+_MM = "%%MatrixMarket matrix array real "
+_RESULTS_HEAD = "# hetero-spectra results v1\nmethod,param,value,replicate,sin_theta,wall_ms,status\n"
+# each command ends in the flag that takes the file
+_SOLVE = ["solve", "--method", "rmtfa", "--tau", "1", "--input"]
+_SIMULATE = ["simulate", "--config"]
+_PLOT = ["plot", "--input"]
+
+# (command, file text, exit code, message after "error: <file>: ");
+# exit 1 for an unreadable file, 2 for a bad config value
+_BAD_INPUTS = {
+    "csv-no-data-rows": (_SOLVE, "# only a comment\n\n", 1, "no data rows"),
+    "mm-short-banner": (_SOLVE, _MM + "\n1 1\n1\n", 1, "line 1: malformed MatrixMarket header"),
+    "mm-field": (
+        _SOLVE,
+        "%%MatrixMarket matrix array complex general\n1 1\n1\n",
+        1,
+        "line 1: unsupported field 'complex'",
+    ),
+    "mm-symmetry": (_SOLVE, _MM + "hermitian\n1 1\n1\n", 1, "line 1: unsupported symmetry 'hermitian'"),
+    "mm-dims-tokens": (_SOLVE, _MM + "general\n% c\n2 2 2\n", 1, "line 3: expected 'rows cols'"),
+    "mm-dims-integer": (_SOLVE, _MM + "general\n2 x\n", 1, "line 2: non-integer dimensions"),
+    "mm-dims-positive": (_SOLVE, _MM + "general\n0 2\n", 1, "line 2: dimensions must be positive"),
+    "mm-dims-missing": (_SOLVE, _MM + "general\n% no dimensions\n", 1, "missing dimensions line"),
+    "mm-symmetric-not-square": (
+        _SOLVE,
+        _MM + "symmetric\n2 3\n",
+        1,
+        "symmetric file must be square, got 2x3",
+    ),
+    "config-not-object": (_SIMULATE, "[]", 2, "config must be a JSON object"),
+    "config-vary-not-object": (
+        _SIMULATE,
+        json.dumps(minimal_config(vary=[])),
+        2,
+        "'vary' must be an object with 'param' and 'values'",
+    ),
+    "config-values-not-list": (
+        _SIMULATE,
+        json.dumps(minimal_config(vary={"param": "omega", "values": 1.0})),
+        2,
+        "vary.values must be a list",
+    ),
+    "config-methods-not-list": (
+        _SIMULATE,
+        json.dumps(minimal_config(methods="svd")),
+        2,
+        "methods must be a list of tags",
+    ),
+    "results-no-header": (_PLOT, "# hetero-spectra results v1\n\n", 1, "missing header line"),
+    "results-field-count": (_PLOT, _RESULTS_HEAD + "svd,omega,1\n", 1, "row 2 has 3 fields"),
+    "results-bad-value": (
+        _PLOT,
+        _RESULTS_HEAD + "svd,omega,1,0,0.25,0,ok\nsvd,omega,x,0,0.25,0,ok\n",
+        1,
+        "row 3: could not convert string to float: 'x'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_INPUTS))
+def test_bad_input_file_exits_with_one_error_line(tmp_path, capsys, case):
+    command, text, code, message = _BAD_INPUTS[case]
+    path = write(tmp_path / "input", text)
+    out = tmp_path / "out"
+    assert main([*command, path, "--out", str(out)]) == code
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}: {message}"]
+    assert not out.exists()

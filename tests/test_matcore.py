@@ -212,6 +212,19 @@ def test_check_orthonormal_flags_bad_basis():
         check_orthonormal(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize(
+    "u, match",
+    [
+        (np.ones(3), r"^basis: expected a 2-d array, got shape \(3,\)$"),
+        (np.array([[1.0], [np.inf]]), "^basis: non-finite entries$"),
+    ],
+    ids=["1-d", "non-finite"],
+)
+def test_check_orthonormal_rejects_bad_arrays(u, match):
+    with pytest.raises(ValueError, match=match):
+        check_orthonormal(u)
+
+
 # ---------------------------------------------------------------- scalar arguments
 
 

@@ -147,6 +147,20 @@ def test_is_balanced():
         is_balanced([0.0, 0.0])
 
 
+@pytest.mark.parametrize(
+    "beta, match",
+    [
+        ([], "^is_balanced: expected a non-empty 1-d vector$"),
+        ([[1.0, 1.0]], "^is_balanced: expected a non-empty 1-d vector$"),
+        ([1.0, np.nan], "^is_balanced: non-finite entries$"),
+    ],
+    ids=["empty", "2-d", "non-finite"],
+)
+def test_is_balanced_rejects_bad_vectors(beta, match):
+    with pytest.raises(ValueError, match=match):
+        is_balanced(beta)
+
+
 def test_reliability_extremes():
     rng = np.random.default_rng(86)
     b = rng.standard_normal((5, 5))
@@ -168,6 +182,25 @@ def test_reliability_identity():
 def test_reliability_rejects_nonpositive_total():
     with pytest.raises(ValueError):
         reliability_coefficient(np.eye(3), -np.eye(3))
+
+
+def test_reliability_rejects_shape_mismatch():
+    with pytest.raises(ValueError, match="^reliability_coefficient: shape mismatch$"):
+        reliability_coefficient(np.eye(2), np.eye(3))
+
+
+@pytest.mark.parametrize(
+    "dec, match",
+    [
+        (5.0, r"^psi_residual: expected a Decomposition or an \(L, D\) pair$"),
+        ((np.eye(3),) * 3, r"^psi_residual: expected a Decomposition or an \(L, D\) pair$"),
+        ((np.eye(2), np.eye(3)), "^psi_residual: shape mismatch$"),
+    ],
+    ids=["scalar", "triple", "shape"],
+)
+def test_psi_residual_rejects_bad_fits(dec, match):
+    with pytest.raises(ValueError, match=match):
+        psi_residual(np.eye(3), dec)
 
 
 def test_psi_residual_exact_fit():

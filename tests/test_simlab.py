@@ -123,6 +123,12 @@ def test_gen_noise_row_scales():
     assert np.all(np.abs(stds - scales) <= tol + 1e-12)
 
 
+@pytest.mark.parametrize("gen", [gen_signal, gen_noise])
+def test_generators_need_model_params(gen):
+    with pytest.raises(ValueError, match=f"^{gen.__name__}: params must be ModelParams$"):
+        gen({"n": 10, "p": 4, "r": 2}, np.random.default_rng(107))
+
+
 # ---------------------------------------------------------------- instance
 
 

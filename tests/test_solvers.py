@@ -343,6 +343,60 @@ def test_partial_spectrum_falls_back_when_kept_count_outgrows_block(monkeypatch)
     _assert_same_solve(got, _full_path_rmtfa(monkeypatch, sigma, tau, d0=d0, stop=stop))
 
 
+def _stalling_input(p=256):
+    """A matrix whose kept eigenvalue 10 sits over a cluster at 8.0-8.9, and
+    a warm basis tilted off its eigenvector: subspace iteration gains about
+    a factor 0.89 a step, far too slow to certify in ``_PARTIAL_STEPS``."""
+    rng = np.random.default_rng(70)
+    v = np.linalg.qr(rng.standard_normal((p, p)))[0]
+    lam = np.zeros(p)
+    lam[0] = 10.0
+    lam[1:41] = np.linspace(8.9, 8.0, 40)
+    return symmetrize((v * lam) @ v.T), np.linalg.qr(v[:, :9] + 0.3 * v[:, 9:18])[0]
+
+
+def _spy_partial(monkeypatch):
+    """Record how each partial step ends: "accepted", "gave_up" (None after
+    at least one subspace step, before the step budget ran out and without
+    reaching the Cholesky test) or "other"."""
+    calls = {"qr": 0, "cholesky": 0}
+    for name in calls:
+
+        def counted(a, _real=getattr(np.linalg, name), _name=name):
+            calls[_name] += 1
+            return _real(a)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    real_partial = shrinkage._psd_soft_partial
+    outcomes = []
+
+    def spy(m, tau, basis):
+        calls.update(qr=0, cholesky=0)
+        out = real_partial(m, tau, basis)
+        early = calls["cholesky"] == 0 and 0 < calls["qr"] < shrinkage._PARTIAL_STEPS
+        outcomes.append("accepted" if out is not None else "gave_up" if early else "other")
+        return out
+
+    monkeypatch.setattr(shrinkage, "_psd_soft_partial", spy)
+    return outcomes
+
+
+def test_partial_spectrum_gives_up_early_on_a_slow_rate(monkeypatch):
+    m, basis = _stalling_input()
+    outcomes = _spy_partial(monkeypatch)
+    spec = ProxSpec.psd_soft(9.5)
+    L, kept, step = shrinkage._prox_with_spectrum(spec, m, basis)
+    assert outcomes == ["gave_up"] and not step.partial
+    # the dispatch then returns the full operator's output
+    full_L, full_kept, _ = shrinkage._prox_with_spectrum(spec, m)
+    assert _bits(L) == _bits(full_L) and _bits(kept) == _bits(full_kept)
+    # in the loop, each give-up counts as a fallback to the full eigensolve
+    outcomes.clear()
+    _, trace = alternating_solve(m, ProxSpec.psd_soft(8.2), stop=StopRule(1e-10, 20))
+    assert trace.partial_fallbacks == outcomes.count("gave_up") > 0
+    assert trace.partial_accepted == outcomes.count("accepted")
+
+
 @pytest.mark.parametrize("start", ["cold", "raised"])
 def test_partial_spectrum_exact_shutoff_large_p(start):
     # criterion 3 at p = 300: tau >= lambda_1(poffdiag(sigma)) gives L == 0
@@ -406,13 +460,26 @@ def _desk_p8():
     return inst.sigma, inst.params.sigma_r() ** 2 / 16.0
 
 
+# each tag's errors name its entry check
+_ENTRY_CHECK = {
+    "svd": "svd",
+    "dd": "dd",
+    "hpca": "hpca",
+    "dhpca": "deflated_heteropca",
+    "hpca_plus": "hpca_plus",
+    "rmtfa": "alternating_solve",
+    "si": "alternating_solve",
+}
+
+
 @pytest.mark.parametrize("tag", METHOD_TAGS)
 def test_overflowing_scale_raises_instead_of_converging(tag):
     # at 1e160 the first round's norms overflow to inf, and an infinite
     # tolerance would pass the stop test at once
     sigma, tau = _desk_p8()
     param = tau * 1e160 if tag in SOFT_METHODS else 2
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="round 1 .* not finite"):
+    match = f"^{_ENTRY_CHECK[tag]}: round 1 .* not finite"
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match=match):
         METHODS[tag](sigma * 1e160, param)
 
 
@@ -423,6 +490,27 @@ def test_large_finite_scale_converges_as_at_scale_one():
     assert big.converged and big.iterations == dec.iterations
     assert np.isfinite(big_trace.objective).all()
     assert np.allclose(big.L, dec.L * 1e100, rtol=1e-9, atol=1e-9 * 1e100)
+
+
+@pytest.mark.parametrize(
+    "d0, match",
+    [
+        (np.ones(3), "^d0: expected length 4, got 3$"),
+        (np.ones((4, 3)), r"^d0: expected shape \(4, 4\), got \(4, 3\)$"),
+        (np.array([1.0, np.nan, 1.0, 1.0]), "^d0: non-finite entries$"),
+    ],
+    ids=["length", "shape", "non-finite"],
+)
+def test_alternating_solve_rejects_bad_d0(d0, match):
+    sigma = random_corr(np.random.default_rng(68), 4)
+    with pytest.raises(ValueError, match=match):
+        alternating_solve(sigma, ProxSpec.psd_soft(0.1), d0=d0)
+
+
+def test_objective_rejects_low_rank_part_of_another_shape():
+    sigma = random_corr(np.random.default_rng(69), 4)
+    with pytest.raises(ValueError, match="^objective_F: L shape does not match sigma$"):
+        objective_F(sigma, np.zeros((3, 3)), np.ones(4), 0.5)
 
 
 # ---------------------------------------------------------------- rmtfa
@@ -870,7 +958,8 @@ def test_rank_entry_points_reject_bad_rank(entry, r):
 )
 def test_heteropca_entry_points_reject_bad_round_budget(fit, budget, rounds):
     sigma = random_corr(np.random.default_rng(67), 4)
-    with pytest.raises(ValueError):
+    match = f"^{fit.__name__}: {budget} must be an integer >= 1, got {rounds!r}$"
+    with pytest.raises(ValueError, match=match):
         fit(sigma, 2, **{budget: rounds})
 
 
