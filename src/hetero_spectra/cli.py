@@ -563,7 +563,7 @@ def _build_parser():
     pm.add_argument("--out", required=True, help="results CSV path")
     pm.add_argument("--seed", type=int, help="override the config seed")
     pm.add_argument("--replicates", type=int, help="override the config replicate count")
-    pm.add_argument("--jobs", type=int, help="worker threads (default: HETERO_SPECTRA_JOBS or 1)")
+    pm.add_argument("--jobs", type=int, help="worker processes (default: HETERO_SPECTRA_JOBS or 1)")
     pm.add_argument(
         "--timings",
         action="store_true",

@@ -7,6 +7,7 @@ planted one. Everything is driven by one PCG64 stream per replicate so a
 (config, seed) pair reproduces its rows exactly.
 """
 
+import os
 import time
 import warnings
 from dataclasses import dataclass
@@ -283,6 +284,31 @@ def _run_cell(config, value, replicate):
     return rows
 
 
+def _cell_rows(task):
+    # the pool maps this, not _run_cell: a replaced simlab._run_cell (a
+    # closure, say) cannot be pickled, but forked workers call it through
+    # the module global
+    return _run_cell(*task)
+
+
+def _worker_cap():
+    """Most workers whose BLAS threads together fit on this process's CPUs."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    blas_threads = cpus
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        try:
+            n = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if n > 0:
+            blas_threads = n
+            break
+    return max(1, cpus // blas_threads)
+
+
 def run_experiment(config, jobs=1):
     """Score every (sweep value, replicate, method) cell of a config.
 
@@ -294,7 +320,12 @@ def run_experiment(config, jobs=1):
     ----------
     config : ExperimentConfig
     jobs : int
-        Worker threads; 1 runs serially.
+        Most worker processes. The pool gets at most one worker per cell
+        and at most CPUs // BLAS threads, the BLAS count being the first
+        positive integer among ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``
+        and ``MKL_NUM_THREADS``, else the CPU count; one worker runs the
+        sweep in the calling process. Workers are forked where the platform
+        can fork, and all of them have exited when this returns.
 
     Returns
     -------
@@ -303,14 +334,20 @@ def run_experiment(config, jobs=1):
     if not isinstance(config, ExperimentConfig):
         raise ValueError("run_experiment: config must be an ExperimentConfig")
     jobs = _as_int(jobs, "run_experiment: jobs", lo=1)
-    cells = [(v, k) for v in config.vary_values for k in range(config.replicates)]
-    if jobs == 1:
-        per_cell = [_run_cell(config, v, k) for v, k in cells]
+    cells = [(config, v, k) for v in config.vary_values for k in range(config.replicates)]
+    workers = min(jobs, len(cells), _worker_cap())
+    if workers == 1:
+        per_cell = [_run_cell(*cell) for cell in cells]
     else:
-        # imported here, not at the top: concurrent.futures pulls in logging,
-        # about 6 ms of start-up that only this branch needs
-        from concurrent.futures import ThreadPoolExecutor
+        # imported here, not at the top: only this branch needs it
+        import multiprocessing
 
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_cell = list(pool.map(lambda c: _run_cell(config, *c), cells))
+        # forked workers start with numpy and the package loaded, and call
+        # whatever the caller's module globals hold
+        fork = "fork" in multiprocessing.get_all_start_methods()
+        ctx = multiprocessing.get_context("fork" if fork else None)
+        with ctx.Pool(workers) as pool:
+            per_cell = pool.map(_cell_rows, cells, chunksize=1)
+            pool.close()
+            pool.join()
     return [row for rows in per_cell for row in rows]

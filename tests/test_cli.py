@@ -714,18 +714,20 @@ def test_simulate_timings_flag(tmp_path):
 
 
 def test_simulate_jobs_match_serial(tmp_path, monkeypatch):
+    # one BLAS thread, so the worker cap leaves room for a pool on two CPUs
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     cfg = write(
         tmp_path / "cfg.json",
         json.dumps(minimal_config(methods=["svd", "dd"], replicates=3)),
     )
     serial = tmp_path / "serial.csv"
-    threaded = tmp_path / "threaded.csv"
+    pooled = tmp_path / "pooled.csv"
     env_run = tmp_path / "env.csv"
     assert main(["simulate", "--config", cfg, "--out", str(serial)]) == 0
-    assert main(["simulate", "--config", cfg, "--out", str(threaded), "--jobs", "3"]) == 0
+    assert main(["simulate", "--config", cfg, "--out", str(pooled), "--jobs", "3"]) == 0
     monkeypatch.setenv("HETERO_SPECTRA_JOBS", "2")
     assert main(["simulate", "--config", cfg, "--out", str(env_run)]) == 0
-    assert serial.read_bytes() == threaded.read_bytes()
+    assert serial.read_bytes() == pooled.read_bytes()
     assert serial.read_bytes() == env_run.read_bytes()
 
 

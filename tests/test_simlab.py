@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -273,7 +275,8 @@ def test_method_tags():
 
 
 def row_key(row):
-    return (row.method, row.param, row.value, row.replicate, row.sin_theta, row.status)
+    # repr keeps every bit and makes the NaN of an error row equal to itself
+    return (row.method, row.param, row.value, row.replicate, repr(row.sin_theta), row.status)
 
 
 def test_run_experiment_cardinality_and_order():
@@ -333,7 +336,118 @@ def test_run_experiment_deterministic():
     assert [row_key(r) for r in a] == [row_key(r) for r in b]
 
 
-def test_run_experiment_parallel_matches_serial():
+@pytest.fixture
+def four_cpus(monkeypatch):
+    """One BLAS thread on four CPUs: the worker cap is 4 on any host."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+
+
+def _pool_config(**kw):
+    base = dict(
+        n=20,
+        p=8,
+        r=2,
+        vary_param="omega",
+        vary_values=(0.5, 1.0),
+        methods=("svd", "dd"),
+        replicates=2,
+        seed=122,
+    )
+    return ExperimentConfig(**{**base, **kw})
+
+
+def _clear_blas_vars(monkeypatch):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+
+
+def _sweep_keys(cfg, jobs):
+    rows = run_experiment(cfg, jobs=jobs)
+    assert multiprocessing.active_children() == []
+    return [row_key(r) for r in rows]
+
+
+@pytest.mark.parametrize(
+    "env, cpus, cap",
+    [
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+        ({}, 8, 1),
+        ({"OMP_NUM_THREADS": "4"}, 8, 2),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "x", "MKL_NUM_THREADS": "2"}, 8, 4),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 8, 4),
+        ({"OPENBLAS_NUM_THREADS": "4"}, 2, 1),
+    ],
+)
+def test_worker_cap_divides_cpus_by_blas_threads(monkeypatch, env, cpus, cap):
+    _clear_blas_vars(monkeypatch)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    assert simlab._worker_cap() == cap
+    # without an affinity call the CPU count is the total
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert simlab._worker_cap() == cap
+
+
+def _record_pids(monkeypatch, path):
+    real = simlab._run_cell
+
+    def recording(config, value, replicate):
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(config, value, replicate)
+
+    monkeypatch.setattr(simlab, "_run_cell", recording)
+    return lambda: {int(line) for line in path.read_text().split()}
+
+
+def test_run_experiment_jobs_run_in_worker_processes(four_cpus, monkeypatch, tmp_path):
+    cfg = _pool_config()
+    serial = _sweep_keys(cfg, 1)
+    pids = _record_pids(monkeypatch, tmp_path / "pids.txt")
+    assert _sweep_keys(cfg, 2) == serial
+    seen = pids()
+    assert seen and os.getpid() not in seen
+
+
+def test_run_experiment_capped_jobs_run_serially(monkeypatch, tmp_path):
+    # BLAS at its default thread count fills the CPUs: one worker, in process
+    _clear_blas_vars(monkeypatch)
+    cfg = _pool_config()
+    serial = _sweep_keys(cfg, 1)
+    pids = _record_pids(monkeypatch, tmp_path / "pids.txt")
+    assert _sweep_keys(cfg, 2) == serial
+    assert pids() == {os.getpid()}
+
+
+def test_run_experiment_pool_calls_a_replaced_run_cell(four_cpus, monkeypatch):
+    # perfbench's tracer swaps _run_cell for a closure, which cannot be pickled
+    cfg = _pool_config()
+    serial = _sweep_keys(cfg, 1)
+    real = simlab._run_cell
+    monkeypatch.setattr(simlab, "_run_cell", lambda *args: real(*args))
+    assert _sweep_keys(cfg, 2) == serial
+
+
+def test_run_experiment_pool_error_rows_match_serial(four_cpus, monkeypatch):
+    def failing(sigma, arg):
+        raise RuntimeError("synthetic failure")
+
+    monkeypatch.setitem(simlab.METHODS, "dd", failing)
+    cfg = _pool_config()
+    serial = _sweep_keys(cfg, 1)
+    assert {key[-1] for key in serial} == {"ok", "error: synthetic failure"}
+    assert _sweep_keys(cfg, 2) == serial
+
+
+def test_run_experiment_more_jobs_than_cells(four_cpus):
+    cfg = _pool_config(vary_values=(1.0,))
+    assert _sweep_keys(cfg, 8) == _sweep_keys(cfg, 1)
+
+
+def test_run_experiment_parallel_matches_serial(four_cpus):
     cfg = ExperimentConfig(
         n=20,
         p=8,
@@ -344,9 +458,7 @@ def test_run_experiment_parallel_matches_serial():
         replicates=3,
         seed=119,
     )
-    serial = run_experiment(cfg, jobs=1)
-    parallel = run_experiment(cfg, jobs=3)
-    assert [row_key(r) for r in serial] == [row_key(r) for r in parallel]
+    assert _sweep_keys(cfg, 3) == _sweep_keys(cfg, 1)
 
 
 def test_run_experiment_bad_args():
