@@ -9,7 +9,7 @@ a results CSV to a self-contained SVG.
 Exit codes: 0 ok, 1 unreadable input (parse or I/O), 2 invalid arguments
 or config values, or an input whose scale overflows the fit, 3 solver did
 not converge (outputs are still written), 4 the eigensolver failed (no
-outputs written).
+outputs written), 5 a sweep's worker process died (no results CSV written).
 """
 
 import argparse
@@ -26,7 +26,7 @@ import numpy as np
 from .matcore import EigenSolverError, _fro, symmetrize
 from .metrics import heywood_check
 from .shrinkage import apply_prox
-from .simlab import ExperimentConfig, ResultRow, run_experiment
+from .simlab import ExperimentConfig, ResultRow, _WorkerDied, run_experiment
 from .solvers import METHOD_TAGS, METHODS, SOFT_METHODS, _numerical_rank
 
 # solve runs its fit through METHODS. The names below stay bound here only
@@ -123,25 +123,6 @@ def _floats(tokens, lines, path):
         raise
 
 
-def _from_upper(values, n):
-    """The symmetric n x n matrix whose upper triangle, row by row, is ``values``."""
-    a = np.empty((n, n))
-    start = 0
-    for i in range(n):
-        stop = start + n - i
-        a[i, i:] = a[i:, i] = values[start:stop]
-        start = stop
-    return a
-
-
-def _mirrored(rows):
-    """True when every token below the diagonal is the same text as its mirror."""
-    for i, col in enumerate(zip(*rows)):
-        if rows[i][i + 1 :] != list(col[i + 1 :]):
-            return False
-    return True
-
-
 def _parse_csv_matrix(text, path):
     lines = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -156,33 +137,38 @@ def _parse_csv_matrix(text, path):
         lines.append((lineno, tokens))
     if not lines:
         raise ParseError(f"{path}: no data rows")
-    n = len(lines)
-    rows = [tokens for _, tokens in lines]
-    # the same text gives the same float, so a file written symmetric
-    # converts its upper triangle only
-    if n == len(rows[0]) and _mirrored(rows):
-        upper = [tok for i, tokens in enumerate(rows) for tok in tokens[i:]]
-        return _from_upper(_floats(upper, lines, path), n)
-    return _floats([tok for tokens in rows for tok in tokens], lines, path).reshape(n, -1)
+    n, ncol = len(lines), len(lines[0][1])
+    a = np.empty((n, ncol))
+    for i, (lineno, tokens) in enumerate(lines):
+        # the same text gives the same float, so a row whose text left of
+        # the diagonal mirrors the column above it converts from the diagonal
+        start = 0
+        if n == ncol and tokens[:i] == [above[i] for _, above in lines[:i]]:
+            a[i, :i] = a[:i, i]
+            start = i
+        a[i, start:] = _floats(tokens[start:], [(lineno, tokens)], path)
+    return a
 
 
 def _parse_mm_array(text, path):
-    # parse_matrix sends only text holding the banner, so lines is not empty
+    # parse_matrix sends only text whose first non-blank line holds the banner
     lines = text.splitlines()
-    header = lines[0].split()
+    first = next(k for k, line in enumerate(lines) if line.strip())
+    at = f"{path}: line {first + 1}"
+    header = lines[first].split()
     if len(header) != 5 or header[0] != "%%MatrixMarket":
-        raise ParseError(f"{path}: line 1: malformed MatrixMarket header")
+        raise ParseError(f"{at}: malformed MatrixMarket header")
     _, obj, fmt, field, symmetry = (w.lower() for w in header)
     if obj != "matrix" or fmt != "array":
-        raise ParseError(f"{path}: line 1: only 'matrix array' files are supported")
+        raise ParseError(f"{at}: only 'matrix array' files are supported")
     if field not in ("real", "integer"):
-        raise ParseError(f"{path}: line 1: unsupported field {field!r}")
+        raise ParseError(f"{at}: unsupported field {field!r}")
     if symmetry not in ("general", "symmetric"):
-        raise ParseError(f"{path}: line 1: unsupported symmetry {symmetry!r}")
+        raise ParseError(f"{at}: unsupported symmetry {symmetry!r}")
 
     body = []  # (lineno, tokens)
     dims = None
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines[first + 1 :], start=first + 2):
         stripped = line.strip()
         if not stripped or stripped.startswith("%"):
             continue
@@ -213,8 +199,14 @@ def _parse_mm_array(text, path):
         # column major
         return np.ascontiguousarray(values.reshape(ncol, nrow).T)
     # lower triangle, column major, diagonal included: the upper triangle in
-    # row-major order
-    return _from_upper(values, nrow)
+    # row-major order, so row i takes its next nrow - i values from the diagonal
+    a = np.empty((nrow, nrow))
+    start = 0
+    for i in range(nrow):
+        a[i, :i] = a[:i, i]
+        a[i, i:] = values[start : start + nrow - i]
+        start += nrow - i
+    return a
 
 
 def parse_matrix(path):
@@ -578,20 +570,20 @@ def _build_parser():
     return parser
 
 
+# the exit code of each error main reports in one line, the first match
+_EXIT_CODES = [
+    (ParseError, 1), (OSError, 1), (ValueError, 2), (EigenSolverError, 4), (_WorkerDied, 5)
+]
+
+
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, OSError) as exc:
+    except tuple(kind for kind, _ in _EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EigenSolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

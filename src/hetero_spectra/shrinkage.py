@@ -228,51 +228,52 @@ def _psd_soft_partial(m, tau, basis):
     and its prox is the Ritz rebuild, so the output is within that distance
     of the full-eigensolve prox (the prox is 1-Lipschitz). It returns None when
     the residual is not reached in ``_PARTIAL_STEPS`` steps, when every Ritz
-    value of the block exceeds tau, or when a test above fails.
+    value of the block exceeds tau, when a test above fails, or when LAPACK
+    fails on the Ritz ``eigh`` or the ``qr``.
     """
     eigh = np.linalg.eigh  # looked up per call, like _spectrum's
     tol = _PARTIAL_TOL * _fro(m)
-    y = basis
-    my = m @ y
-    prev = math.inf
-    for left in range(_PARTIAL_STEPS - 1, -1, -1):
-        h = y.T @ my
-        theta, s = eigh((h + h.T) / 2.0)
-        theta, s = theta[::-1], s[:, ::-1]  # descending
-        y = y @ s
-        my = my @ s
-        k = int(np.count_nonzero(theta > tau))
-        if k == theta.size:
-            return None
-        r = my[:, :k] - y[:, :k] * theta[:k]
-        res = _fro(r)
-        if res <= tol:
-            break
-        # give up early when the observed rate cannot reach tol in the steps left
-        rate = res / prev
-        if rate >= 1.0 or res * rate**left > tol:
-            return None
-        prev = res
-        y = np.linalg.qr(my)[0]
-        my = m @ y
-    else:
-        return None
-    if k and theta[k - 1] <= tau + tol:
-        return None
-    yk, myk = y[:, :k], my[:, :k]
-    # (tau - delta) I - P m P, with P m P = m - (yk c^T + c yk^T) and
-    # c = m yk - yk (yk^T m yk) / 2
-    c = myk - yk @ (yk.T @ myk) / 2.0
-    a = yk @ c.T
-    a += a.T
-    a -= m
-    a.reshape(-1)[:: m.shape[0] + 1] += tau - tol
     try:
-        np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
+        y = basis
+        my = m @ y
+        prev = math.inf
+        for left in range(_PARTIAL_STEPS - 1, -1, -1):
+            h = y.T @ my
+            theta, s = eigh((h + h.T) / 2.0)
+            theta, s = theta[::-1], s[:, ::-1]  # descending
+            y = y @ s
+            my = my @ s
+            k = int(np.count_nonzero(theta > tau))
+            if k == theta.size:
+                return None
+            r = my[:, :k] - y[:, :k] * theta[:k]
+            res = _fro(r)
+            if res <= tol:
+                break
+            # give up early when the observed rate cannot reach tol in the steps left
+            rate = res / prev
+            if rate >= 1.0 or res * rate**left > tol:
+                return None
+            prev = res
+            y = np.linalg.qr(my)[0]
+            my = m @ y
+        else:
+            return None
+        if k and theta[k - 1] <= tau + tol:
+            return None
+        yk, myk = y[:, :k], my[:, :k]
+        # (tau - delta) I - P m P, with P m P = m - (yk c^T + c yk^T) and
+        # c = m yk - yk (yk^T m yk) / 2
+        c = myk - yk @ (yk.T @ myk) / 2.0
+        a = yk @ c.T
+        a += a.T
+        a -= m
+        a.reshape(-1)[:: m.shape[0] + 1] += tau - tol
+        np.linalg.cholesky(a)  # raises LinAlgError when the margin test fails
+        w = theta[:k] - tau
+        return _rebuild(yk, w), w, _Step(True, _warm_basis(y, k))
+    except np.linalg.LinAlgError:  # a failed Ritz eigh or qr, or the Cholesky test
         return None
-    w = theta[:k] - tau
-    return _rebuild(yk, w), w, _Step(True, _warm_basis(y, k))
 
 
 def _prox_with_spectrum(spec, m, basis=None):

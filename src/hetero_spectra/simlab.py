@@ -256,6 +256,10 @@ def _fit_basis(method, inst, tau):
     return extract_subspace(dec, r)
 
 
+class _WorkerDied(RuntimeError):
+    """A worker process of a pooled sweep exited before its cell finished."""
+
+
 def _run_cell(config, value, replicate):
     inst = gen_instance(config.model_at(value, replicate))
     tau = resolve_tau(config, inst.params)
@@ -325,7 +329,9 @@ def run_experiment(config, jobs=1):
         positive integer among ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``
         and ``MKL_NUM_THREADS``, else the CPU count; one worker runs the
         sweep in the calling process. Workers are forked where the platform
-        can fork, and all of them have exited when this returns.
+        can fork, and all of them have exited when this returns. A worker
+        that dies (killed, or crashed in native code) stops the others and
+        raises ``RuntimeError``.
 
     Returns
     -------
@@ -339,15 +345,19 @@ def run_experiment(config, jobs=1):
     if workers == 1:
         per_cell = [_run_cell(*cell) for cell in cells]
     else:
-        # imported here, not at the top: only this branch needs it
+        # imported here, not at the top: only this branch needs them
         import multiprocessing
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
         # forked workers start with numpy and the package loaded, and call
         # whatever the caller's module globals hold
         fork = "fork" in multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context("fork" if fork else None)
-        with ctx.Pool(workers) as pool:
-            per_cell = pool.map(_cell_rows, cells, chunksize=1)
-            pool.close()
-            pool.join()
+        try:
+            with ProcessPoolExecutor(workers, mp_context=ctx) as pool:
+                per_cell = list(pool.map(_cell_rows, cells))
+        except BrokenProcessPool:
+            raise _WorkerDied(
+                "run_experiment: a worker process died before its cell finished"
+            ) from None
     return [row for rows in per_cell for row in rows]

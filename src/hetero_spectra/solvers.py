@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matcore import _as_int, _as_real, _as_sym, _fro, eig_sym, pdiag, poffdiag
+from .matcore import EigenSolverError, _as_int, _as_real, _as_sym, _fro, eig_sym, pdiag, poffdiag
 from .shrinkage import ProxSpec, _check_rank, _penalty, _prox_with_spectrum
 
 __all__ = [
@@ -413,7 +413,10 @@ def _deflated_run(sigma, r, rounds):
     r_prev = 0
     stage_ranks = []
     while r_prev < r:
-        svals = np.sort(np.abs(np.linalg.eigvalsh(sigma - np.diag(d))))[::-1]
+        try:
+            svals = np.sort(np.abs(np.linalg.eigvalsh(sigma - np.diag(d))))[::-1]
+        except np.linalg.LinAlgError as exc:
+            raise EigenSolverError(f"deflated_heteropca: solver did not converge ({exc})") from None
         svals = np.append(svals, 0.0)  # sigma_{p+1} := 0
         top = svals[r_prev]
         r_k = r  # sup of an empty candidate set

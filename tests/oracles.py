@@ -227,6 +227,55 @@ def alternating_reference(sigma, kind, param, d0=None, rel_tol=1e-10, max_iter=1
     return out
 
 
+def accelerated_reference(sigma, kind, tau, rel_tol=1e-14, max_iter=100_000):
+    """The soft fit's minimum by accelerated proximal gradient, for rate checks.
+
+    With ``D`` eliminated the fit is ``min_L tau*||L||_* + 0.5*||poffdiag(sigma - L)||^2``
+    (over PSD L for ``psd_soft``): a prox-gradient problem with a 1-Lipschitz
+    gradient, whose step from ``Y`` is ``prox(poffdiag(sigma) + pdiag(Y))``.
+    FISTA with gradient restart (O'Donoghue & Candes 2015) reaches the same
+    minimizer in far fewer rounds than the plain loop. It stops on the
+    relative-step rule of :func:`alternating_reference`.
+
+    Returns
+    -------
+    (F*, d*) : the objective at the last ``L`` and ``diag(sigma - L)``.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    hollow = sigma.copy()
+    np.fill_diagonal(hollow, 0.0)
+    y = np.zeros(sigma.shape[0])  # diag(Y); the start d0 = diag(sigma)
+    x_prev = y
+    L_prev = np.zeros_like(sigma)
+    t = 1.0
+    for _ in range(max_iter):
+        m = hollow.copy()
+        np.fill_diagonal(m, y)
+        vals, vecs = np.linalg.eigh(m)
+        if kind == "psd_soft":
+            keep = vals > tau
+            w = vals[keep] - tau
+        else:
+            keep = np.abs(vals) > tau
+            w = np.sign(vals[keep]) * (np.abs(vals[keep]) - tau)
+        x = (vecs[:, keep] * w) @ vecs[:, keep].T
+        L = (x + x.T) / 2.0
+        if np.linalg.norm(L - L_prev) <= rel_tol * max(1.0, float(np.linalg.norm(L_prev))):
+            break
+        x_diag = np.diagonal(L).copy()
+        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        if np.dot(y - x_diag, x_diag - x_prev) > 0.0:  # momentum points uphill: restart
+            t = t_next = 1.0
+        y = x_diag + (t - 1.0) / t_next * (x_diag - x_prev)
+        x_prev, L_prev, t = x_diag, L, t_next
+    else:
+        raise RuntimeError(f"accelerated_reference: no convergence in {max_iter} rounds")
+    R = sigma - L
+    d = np.diagonal(R).copy()
+    np.fill_diagonal(R, 0.0)
+    return tau * float(np.sum(np.abs(w))) + 0.5 * float(np.sum(R**2)), d
+
+
 def heteropca_reference(sigma, r, t_max=30, g0=None):
     """HeteroPCA's G-recursion written out plainly.
 

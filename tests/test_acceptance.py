@@ -1,8 +1,9 @@
 """End-to-end acceptance gate.
 
 Thirteen numbered criteria, each printing one pass/fail line (run pytest
-with -s to see them). Tolerances are fixed here and are not to be loosened;
-a red criterion means the property genuinely failed.
+with -s to see them), and the convergence rate of the soft fits. Tolerances
+are fixed here and are not to be loosened; a red criterion means the
+property genuinely failed.
 """
 
 import json
@@ -13,12 +14,14 @@ import numpy as np
 
 from hetero_spectra import (
     ExperimentConfig,
+    ModelParams,
     ProxSpec,
     StopRule,
     alternating_solve,
     apply_prox,
     eig_sym,
     extract_subspace,
+    gen_instance,
     nuclear_norm_sym,
     objective_F,
     pdiag,
@@ -34,7 +37,7 @@ from hetero_spectra import (
 )
 from hetero_spectra.cli import main
 from hetero_spectra.solvers import pca_baseline
-from oracles import heteropca_reference
+from oracles import accelerated_reference, heteropca_reference
 
 
 def report(num, name, ok, detail=""):
@@ -162,11 +165,15 @@ def test_criterion_05_psi_nuclear_monotonicity():
     )
 
 
-def test_criterion_06_mtfa_limit():
+def _criterion_6_gram():
     rng = np.random.default_rng(7)
     b = rng.standard_normal((12, 14))
     b /= np.linalg.norm(b, axis=1, keepdims=True)
-    sigma = symmetrize(b @ b.T)
+    return symmetrize(b @ b.T)
+
+
+def test_criterion_06_mtfa_limit():
+    sigma = _criterion_6_gram()
     stop = StopRule(rel_tol=1e-10, max_iter=300000)
     offs = []
     psis = []
@@ -180,6 +187,50 @@ def test_criterion_06_mtfa_limit():
     ratio = offs[-1] / offs[0]
     ok = converged and psi_down and ratio < 0.01
     report(6, "exact-fit limit", ok, f"psi decreasing={psi_down}, residual ratio {ratio:.2e}")
+
+
+def _rate_cases():
+    """(name, sigma, tau): the first inputs of criteria 1, 2 and 6, and desk draws."""
+    sigma = random_corr(np.random.default_rng(201), 20)
+    yield from ((f"c1-tau{tau:g}", sigma, tau) for tau in (0.1, 0.5, 2.0))
+    rng = np.random.default_rng(202)
+    for name, sigma in (("c2-psd", random_corr(rng, 15)), ("c2-indef", random_sym(rng, 15))):
+        lam1 = spectral_norm_sym(poffdiag(sigma))
+        yield from ((f"{name}-frac{frac:g}", sigma, frac * lam1) for frac in (0.05, 0.3, 0.7))
+    sigma = _criterion_6_gram()
+    yield from ((f"c6-tau{tau:g}", sigma, tau) for tau in (1e-1, 1e-2, 1e-3))
+    for kappa in (3.0, 100.0):
+        inst = gen_instance(ModelParams(n=200, p=50, r=5, kappa=kappa, seed=0))
+        yield f"desk-kappa{kappa:g}", inst.sigma, inst.params.sigma_r() ** 2 / 16.0
+
+
+def test_soft_fits_meet_the_proximal_gradient_rate():
+    # With D eliminated the soft loop is proximal gradient with step 1 on a
+    # 1-Lipschitz gradient, and its first round steps from any L_0 whose
+    # diagonal is diag(sigma) - d_0. So (Beck & Teboulle 2009, Thm 3.1) every
+    # round k has F(L_k) - F* <= ||d_0 - d*||^2 / (2k), capped fits included.
+    # F* and d* come from an independent accelerated solve.
+    worst = 0.0
+    failed = []
+    for name, sigma, tau in _rate_cases():
+        for kind, fit in (("psd_soft", rmtfa), ("sym_soft", soft_impute_diag)):
+            f_star, d_star = accelerated_reference(sigma, kind, tau)
+            # warm: the diagonal of a short fit at twice the tau
+            warm = np.diagonal(fit(sigma, 2.0 * tau, stop=StopRule(max_iter=50))[0].D)
+            for start, d0 in (("default", None), ("warm", warm)):
+                _, trace = fit(sigma, tau, d0=d0)
+                d_0 = np.diagonal(sigma) if d0 is None else d0
+                k = np.arange(1, trace.iterations + 1)
+                bound = float(np.sum((d_0 - d_star) ** 2)) / (2.0 * k)
+                excess = np.asarray(trace.objective) - f_star
+                worst = max(worst, float(np.max(excess / bound)))
+                if trace.stop_reason == "fixed_point":
+                    # L_K repeats at every later round, where the bound tends to 0
+                    bound[-1] = 0.0
+                # a few ulps of F* for rounding in F(L_k) and F*
+                if np.any(excess > bound + 4.0 * np.spacing(f_star)):
+                    failed.append(f"{name} {kind} {start}")
+    assert not failed, f"bound violated: {', '.join(failed)} (worst excess/bound {worst:.3g})"
 
 
 def test_criterion_07_iteration_equivalence():

@@ -180,7 +180,8 @@ def _spelled(x, k):
     return [format(x, ".17g"), repr(x), format(x, ".17e")][k % 3]
 
 
-def test_parse_csv_mirror_path_matches_full_path(tmp_path, monkeypatch):
+def _count_floats(monkeypatch):
+    """The token count of each later ``cli._floats`` call, in call order."""
     counts = []
     floats = cli._floats
 
@@ -189,6 +190,11 @@ def test_parse_csv_mirror_path_matches_full_path(tmp_path, monkeypatch):
         return floats(tokens, lines, path)
 
     monkeypatch.setattr(cli, "_floats", counting)
+    return counts
+
+
+def test_parse_csv_mirror_path_matches_full_path(tmp_path, monkeypatch):
+    counts = _count_floats(monkeypatch)
     p = 6
     a = np.random.default_rng(141).standard_normal((p, p))
     m = a + a.T
@@ -198,16 +204,18 @@ def test_parse_csv_mirror_path_matches_full_path(tmp_path, monkeypatch):
     mixed = [[_spelled(m[i, j], i) for j in range(p)] for i in range(p)]
     mixed[0][1], mixed[1][0] = "1", "1e0"
     mixed[2][3], mixed[3][2] = "0.0", "-0"  # -0.0 == 0.0: the full path keeps both bits
-    for rows, tokens in ((same, p * (p + 1) // 2), (mixed, p * p)):
+    # symmetric text converts each row from its diagonal, p(p+1)/2 tokens in
+    # all; in the mixed file every row below the first has a respelled mirror
+    for rows, per_row in ((same, list(range(p, 0, -1))), (mixed, [p] * p)):
         text = "# header\n" + "".join(",".join(r) + "\n" for r in rows)
         counts.clear()
         got = parse_matrix(write(tmp_path / "m.csv", text))
-        assert counts == [tokens]
+        assert counts == per_row
         want = np.array([[float(t) for t in r] for r in rows])
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert np.signbit(got[3, 2]) and not np.signbit(got[2, 3])
 
-    # a one-ulp mirror takes the full path and the tiny-asymmetry warning
+    # a one-ulp mirror converts its row in full and takes the tiny-asymmetry warning
     x = m[4, 5]
     rows = [[format(v, ".17g") for v in r] for r in m]
     rows[5][4] = format(np.nextafter(x, np.inf), ".17g")
@@ -215,9 +223,24 @@ def test_parse_csv_mirror_path_matches_full_path(tmp_path, monkeypatch):
     counts.clear()
     with pytest.warns(UserWarning, match="symmetrized input"):
         got = parse_matrix(write(tmp_path / "m.csv", text))
-    assert counts == [p * p]
+    assert counts == [6, 5, 4, 3, 2, 6]
     want = np.array([[float(t) for t in r] for r in rows])
     assert np.array_equal(got, symmetrize(want))
+
+
+def test_parse_csv_respelled_row_converts_in_full(tmp_path, monkeypatch):
+    counts = _count_floats(monkeypatch)
+    p = 5
+    rows = [[f"{min(i, j) + 0.5 * max(i, j):.1f}" for j in range(p)] for i in range(p)]
+    rows[1][0] = rows[0][1] = "1.0"
+    rows[3][1] = "1"  # the same value as rows[1][3], spelled differently
+    rows[1][3] = "1.0"
+    text = "".join(",".join(r) + "\n" for r in rows)
+    got = parse_matrix(write(tmp_path / "m.csv", text))
+    # row 3 converts all its tokens, the others only from their diagonal on
+    assert counts == [5, 4, 3, 5, 1]
+    want = np.array([[float(t) for t in r] for r in rows])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize(
@@ -271,6 +294,19 @@ def test_parse_matrix_market_symmetric(tmp_path):
     got = parse_matrix(path)
     want = np.array([[1.0, 2.0, 3.0], [2.0, 5.0, 6.0], [3.0, 6.0, 9.0]])
     assert np.array_equal(got, want)
+
+
+def test_parse_matrix_market_banner_after_blank_lines(tmp_path):
+    text = "\n  \n%%MatrixMarket matrix array real symmetric\n2 2\n1\n3\n2\n"
+    got = parse_matrix(write(tmp_path / "m.mtx", text))
+    assert np.array_equal(got, np.array([[1.0, 3.0], [3.0, 2.0]]))
+    # messages keep the file's own line numbers
+    bad = write(tmp_path / "b.mtx", "\n%%MatrixMarket matrix coordinate real general\n2 2\n")
+    with pytest.raises(ParseError, match="line 2: only 'matrix array' files are supported"):
+        parse_matrix(bad)
+    bad = write(tmp_path / "c.mtx", "\n\n" + text.lstrip().replace("\n3\n", "\nx\n"))
+    with pytest.raises(ParseError, match="line 6, column 1: 'x' is not a number"):
+        parse_matrix(bad)
 
 
 def test_parse_matrix_market_errors(tmp_path):
@@ -420,8 +456,12 @@ def test_solve_generated_instance_certificate(tmp_path):
     assert summary["converged"] is True
 
 
-def test_solve_rmtfa_above_partial_spectrum_crossover(tmp_path, monkeypatch):
-    # the solve-p500 benchmark input at p = 160, above the crossover
+def _crossover_solve(tmp_path, monkeypatch):
+    """``(sigma, tau, argv, traces)``: an rmtfa solve above the partial-spectrum crossover.
+
+    The input is the solve-p500 benchmark input at p = 160. ``traces``
+    collects the fit's trace once ``main(argv)`` has run.
+    """
     p = 160
     rng = np.random.default_rng([65, 500])
     x = rng.standard_normal((2 * p, 5)) @ rng.standard_normal((p, 5)).T
@@ -441,6 +481,12 @@ def test_solve_rmtfa_above_partial_spectrum_crossover(tmp_path, monkeypatch):
     monkeypatch.setitem(METHODS, "rmtfa", spy)
     out = tmp_path / "out"
     argv = ["solve", "--input", str(inp), "--method", "rmtfa", "--tau", repr(tau), "--out", str(out)]
+    return sigma, tau, argv, traces
+
+
+def test_solve_rmtfa_above_partial_spectrum_crossover(tmp_path, monkeypatch):
+    sigma, tau, argv, traces = _crossover_solve(tmp_path, monkeypatch)
+    out = tmp_path / "out"
     assert main(argv) == 0
     assert traces[0].partial_accepted > 0
     summary = json.loads((out / "summary.json").read_text())
@@ -641,6 +687,43 @@ def test_solve_eigensolver_failure_exit_4(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_solve_dhpca_stage_eigensolver_failure_exit_4(tmp_path, monkeypatch, capsys):
+    def failing(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    inp = write(tmp_path / "m.csv", "2,1\n1,2\n")
+    out = tmp_path / "out"
+    ret = main(["solve", "--input", inp, "--method", "dhpca", "--rank", "1", "--out", str(out)])
+    assert ret == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: deflated_heteropca: solver did not converge")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("call", ["eigh", "qr"])
+def test_solve_partial_step_lapack_failure_falls_back(tmp_path, monkeypatch, call):
+    # a failed Ritz eigh or qr leaves the round to the full eigensolve
+    sigma, _, argv, traces = _crossover_solve(tmp_path, monkeypatch)
+    real = getattr(np.linalg, call)
+    failures = []
+
+    def failing(m, *args, **kwargs):
+        if call == "qr" or m.shape[0] < sigma.shape[0]:  # the full eigh is p x p
+            failures.append(m.shape)
+            raise np.linalg.LinAlgError("synthetic LAPACK failure")
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, call, failing)
+    assert main(argv) == 0
+    assert failures and traces[0].partial_fallbacks > 0
+    if call == "eigh":  # every partial step fails before its first test
+        assert traces[0].partial_accepted == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["fixed_point_residual"] < 1e-8
+    assert summary["stop_reason"] == "converged" and summary["converged"] is True
+
+
 def test_python_m_hetero_spectra_runs_the_cli():
     done = _run_module(["--help"])
     assert done.returncode == 0
@@ -729,6 +812,29 @@ def test_simulate_jobs_match_serial(tmp_path, monkeypatch):
     assert main(["simulate", "--config", cfg, "--out", str(env_run)]) == 0
     assert serial.read_bytes() == pooled.read_bytes()
     assert serial.read_bytes() == env_run.read_bytes()
+
+
+def test_simulate_dead_worker_exits_5(tmp_path, monkeypatch, capsys, deadline):
+    # one BLAS thread on two CPUs: a pool of two worker processes
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    real = simlab._run_cell
+
+    def dying(config, value, replicate):
+        if replicate == 1:
+            os._exit(1)
+        return real(config, value, replicate)
+
+    monkeypatch.setattr(simlab, "_run_cell", dying)
+    cfg = write(tmp_path / "cfg.json", json.dumps(minimal_config(replicates=3)))
+    out = tmp_path / "rows.csv"
+    with deadline(5):
+        ret = main(["simulate", "--config", cfg, "--out", str(out), "--jobs", "2"])
+    assert ret == 5
+    assert capsys.readouterr().err.splitlines() == [
+        "error: run_experiment: a worker process died before its cell finished"
+    ]
+    assert not out.exists()
 
 
 def test_simulate_bad_jobs_env(tmp_path, monkeypatch, capsys):
@@ -976,6 +1082,8 @@ _PLOT = ["plot", "--input"]
 # exit 1 for an unreadable file, 2 for a bad config value
 _BAD_INPUTS = {
     "csv-no-data-rows": (_SOLVE, "# only a comment\n\n", 1, "no data rows"),
+    "csv-wide": (_SOLVE, "1,2,3\n2,4,5\n", 1, "matrix is 2x3, expected square"),
+    "csv-tall": (_SOLVE, "1,2\n2,4\n3,5\n", 1, "matrix is 3x2, expected square"),
     "mm-short-banner": (_SOLVE, _MM + "\n1 1\n1\n", 1, "line 1: malformed MatrixMarket header"),
     "mm-field": (
         _SOLVE,

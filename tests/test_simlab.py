@@ -461,6 +461,20 @@ def test_run_experiment_parallel_matches_serial(four_cpus):
     assert _sweep_keys(cfg, 3) == _sweep_keys(cfg, 1)
 
 
+def test_run_experiment_dead_worker_raises(four_cpus, monkeypatch, deadline):
+    real = simlab._run_cell
+
+    def dying(config, value, replicate):
+        if replicate == 1:
+            os._exit(1)  # as a worker killed for memory, or crashed in LAPACK
+        return real(config, value, replicate)
+
+    monkeypatch.setattr(simlab, "_run_cell", dying)
+    with deadline(5), pytest.raises(RuntimeError, match="a worker process died"):
+        run_experiment(_pool_config(), jobs=2)
+    assert multiprocessing.active_children() == []
+
+
 def test_run_experiment_bad_args():
     cfg = ExperimentConfig(n=16, p=8, r=2, vary_param="omega", vary_values=(1.0,))
     with pytest.raises(ValueError):
