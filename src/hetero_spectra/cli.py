@@ -213,8 +213,9 @@ def parse_matrix(path):
     """Read a symmetric matrix from dense CSV or Matrix Market array text.
 
     The format is sniffed from the content, not the extension. Square
-    matrices with asymmetry at most 1e-10 (max norm) are symmetrized with
-    a warning; larger asymmetry is rejected naming the worst entry pair.
+    matrices whose asymmetry ``max|a - a^T|`` is at most ``1e-10 * max|a|``
+    are symmetrized with a warning; larger asymmetry is rejected naming the
+    worst entry pair.
     """
     text = _read_text(path)
     parse = _parse_mm_array if text.lstrip().startswith("%%MatrixMarket") else _parse_csv_matrix
@@ -225,13 +226,14 @@ def parse_matrix(path):
         raise ParseError(f"{path}: matrix has non-finite entries")
     gap = np.abs(a - a.T)
     worst = float(np.max(gap))
-    if worst > _ASYM_TOL:
-        i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
-        raise ParseError(
-            f"{path}: not symmetric, |a[{i},{j}] - a[{j},{i}]| = {worst:.6g} "
-            f"exceeds {_ASYM_TOL:g}"
-        )
     if worst > 0.0:
+        limit = _ASYM_TOL * float(max(a.max(), -a.min()))
+        if worst > limit:
+            i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
+            raise ParseError(
+                f"{path}: not symmetric, |a[{i},{j}] - a[{j},{i}]| = {worst:.6g} "
+                f"exceeds {_ASYM_TOL:g} * max|a| = {limit:.6g}"
+            )
         warnings.warn(f"{path}: symmetrized input, max asymmetry {worst:.3g}", stacklevel=2)
         a = symmetrize(a)
     return a
@@ -387,14 +389,7 @@ def cmd_simulate(args):
         config = replace(config, seed=args.seed)
     if args.replicates is not None:
         config = replace(config, replicates=args.replicates)
-    jobs = args.jobs
-    if jobs is None:
-        env = os.environ.get("HETERO_SPECTRA_JOBS", "1")
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise ValueError(f"HETERO_SPECTRA_JOBS = {env!r} is not an integer") from None
-    rows = run_experiment(config, jobs=jobs)
+    rows = run_experiment(config, jobs=args.jobs)
     out_dir = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(out_dir, exist_ok=True)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -555,7 +550,7 @@ def _build_parser():
     pm.add_argument("--out", required=True, help="results CSV path")
     pm.add_argument("--seed", type=int, help="override the config seed")
     pm.add_argument("--replicates", type=int, help="override the config replicate count")
-    pm.add_argument("--jobs", type=int, help="worker processes (default: HETERO_SPECTRA_JOBS or 1)")
+    pm.add_argument("--jobs", type=int, default=1, help="worker processes (default: 1)")
     pm.add_argument(
         "--timings",
         action="store_true",

@@ -146,10 +146,14 @@ def spike_pca_sin_theta(q, s):
         raise ValueError(f"spike_pca_sin_theta: s must be finite and > 0, got {s}")
     if q == 0.0:
         return 1.0 if s < 1.0 else 0.0
-    d = 1.0 - s - 2.0 * q * q + math.sqrt((1.0 - s) ** 2 + 4.0 * s * q * q)
-    if d == 0.0:
-        raise ValueError("spike_pca_sin_theta: degenerate geometry, denominator vanished")
-    return 1.0 / math.sqrt(1.0 + 4.0 * q * q * (1.0 - q * q) / (d * d))
+    # sin = d / hypot(d, e) with d = a + b. When a < 0 that sum cancels, and
+    # d = e^2 / (b - a), since e^2 = b^2 - a^2, gives e / hypot(e, b - a)
+    a = 1.0 - s - 2.0 * q * q
+    b = math.hypot(1.0 - s, 2.0 * q * math.sqrt(s))
+    e = 2.0 * q * math.sqrt((1.0 - q) * (1.0 + q))
+    if a < 0.0:
+        return e / math.hypot(e, b - a)
+    return (a + b) / math.hypot(a + b, e)
 
 
 @dataclass(frozen=True)

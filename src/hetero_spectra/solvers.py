@@ -80,10 +80,14 @@ _METHOD_BY_KIND = {
 class StopRule:
     """Stopping rule for the alternating solvers.
 
-    Iteration halts once ``||L_k - L_{k-1}||_F <= rel_tol * max(1, ||L_{k-1}||_F)``
-    or after ``max_iter`` low-rank updates, whichever comes first. The rank
-    fits' fixed budget is ``rel_tol = 0``, which a ``StopRule`` does not
-    take: it stops early only at an exact fixed point and counts as converged.
+    Iteration halts once ``||L_k - L_{k-1}||_F <= rel_tol * max(s, ||L_{k-1}||_F)``
+    or after ``max_iter`` low-rank updates, whichever comes first. The floor
+    ``s = 2**floor(log2(max|sigma|))`` is sigma's power-of-two scale (1 when
+    ``max|sigma|`` lies in [1, 2)), so a fit of ``(2**e sigma, 2**e tau)``
+    runs the same rounds as that of ``(sigma, tau)`` and returns ``2**e``
+    times its ``(L, D)``. The rank fits' fixed budget is ``rel_tol = 0``,
+    which a ``StopRule`` does not take: it stops early only at an exact
+    fixed point and counts as converged.
     """
 
     rel_tol: float = 1e-10
@@ -256,6 +260,9 @@ def _run(op, sigma, prox, d, rel_tol, max_iter, trace):
     last round.
     """
     p = sigma.shape[0]
+    # sigma's power-of-two scale floors the stop test and the objective check
+    top = max(sigma.max(initial=0.0), -sigma.min(initial=0.0))
+    scale = math.ldexp(0.5, math.frexp(top)[1])
     sigma_diag = np.diagonal(sigma)
     M = sigma.copy()  # sigma - diag(d): only its diagonal changes
     m_diag = M.reshape(-1)[:: p + 1]
@@ -268,7 +275,7 @@ def _run(op, sigma, prox, d, rel_tol, max_iter, trace):
             raise ValueError(f"{op}: sigma - D has non-finite entries")
         L, kept, step = _prox_with_spectrum(prox, M, basis)
         resid = _fro(L - L_prev)
-        tol = rel_tol * max(1.0, prev_norm)
+        tol = rel_tol * max(scale, prev_norm)
         if basis is not None:
             trace.partial_accepted += step.partial
             trace.partial_fallbacks += not step.partial
@@ -294,7 +301,7 @@ def _run(op, sigma, prox, d, rel_tol, max_iter, trace):
         # each half-step minimizes its block exactly, so the objective can
         # only drift up by float jitter, never genuinely
         if k == 1:
-            allow = 1e-12 * max(1.0, objective)
+            allow = 1e-12 * max(scale * scale, objective)
         elif objective > trace.objective[-1] + allow:
             raise RuntimeError(
                 f"{op}: objective increased from {trace.objective[-1]!r} to {objective!r}"

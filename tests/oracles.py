@@ -149,7 +149,8 @@ def alternating_reference(sigma, kind, param, d0=None, rel_tol=1e-10, max_iter=1
     Every floating-point step matches the definitions the solver is pinned
     to: eigenvalues sorted descending with a stable sort, the kept spectrum
     rebuilt as ``((V*w) @ V.T + its transpose) / 2``, ``D = pdiag(sigma - L)``,
-    ``psi = sum(poffdiag(sigma - L)**2)`` and the relative-step stop rule.
+    ``psi = sum(poffdiag(sigma - L)**2)`` and the relative-step stop rule,
+    floored at sigma's power-of-two scale ``2**floor(log2(max|sigma|))``.
 
     Returns
     -------
@@ -177,6 +178,8 @@ def alternating_reference(sigma, kind, param, d0=None, rel_tol=1e-10, max_iter=1
     else:
         D = np.array(d0, dtype=float)
     L_prev = np.zeros_like(sigma)
+    top = float(np.max(np.abs(sigma)))
+    floor = 2.0 ** math.floor(math.log2(top)) if top > 0.0 else 1.0
     out = {"objective": [], "fixed_point_residual": [], "psi": [], "converged": False}
     out["iterates"] = [] if keep_iterates else None
     for k in range(1, max_iter + 1):
@@ -220,7 +223,7 @@ def alternating_reference(sigma, kind, param, d0=None, rel_tol=1e-10, max_iter=1
         if keep_iterates:
             out["iterates"].append(L.copy())
         L_prev = L
-        if resid <= rel_tol * max(1.0, prev_norm):
+        if resid <= rel_tol * max(floor, prev_norm):
             out["converged"] = True
             break
     out.update(L=L, D=D, iterations=k)
@@ -234,8 +237,8 @@ def accelerated_reference(sigma, kind, tau, rel_tol=1e-14, max_iter=100_000):
     (over PSD L for ``psd_soft``): a prox-gradient problem with a 1-Lipschitz
     gradient, whose step from ``Y`` is ``prox(poffdiag(sigma) + pdiag(Y))``.
     FISTA with gradient restart (O'Donoghue & Candes 2015) reaches the same
-    minimizer in far fewer rounds than the plain loop. It stops on the
-    relative-step rule of :func:`alternating_reference`.
+    minimizer in far fewer rounds than the plain loop. It stops once
+    ``||L_k - L_{k-1}||_F <= rel_tol * max(1, ||L_{k-1}||_F)``.
 
     Returns
     -------

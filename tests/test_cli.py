@@ -280,6 +280,29 @@ def test_parse_tiny_asymmetry_symmetrized_with_warning(tmp_path):
     assert np.array_equal(got, got.T)
 
 
+def test_solve_one_ulp_asymmetry_at_large_scale_is_symmetrized(tmp_path):
+    # the tolerance is relative to max|a|: near 6e5 one ulp is 1.16e-10
+    x = 6e5 + 0.1
+    y = float(np.nextafter(x, np.inf))
+    inp = write(tmp_path / "m.csv", f"{x!r},{x!r}\n{y!r},{x!r}\n")
+    out = tmp_path / "o"
+    with pytest.warns(UserWarning, match="symmetrized input, max asymmetry 1.16e-10"):
+        ret = main(["solve", "--input", inp, "--method", "rmtfa", "--tau", "0.5", "--out", str(out)])
+    assert ret == 0 and (out / "L.csv").exists()
+
+
+def test_solve_tiny_antisymmetric_matrix_is_rejected(tmp_path, capsys):
+    # every off-diagonal entry is wrong at the matrix's own scale
+    inp = write(tmp_path / "m.csv", "1e-12,5e-11\n-5e-11,1e-12\n")
+    ret = main(["solve", "--input", inp, "--method", "rmtfa", "--tau", "1e-12", "--out", str(tmp_path / "o")])
+    assert ret == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        f"error: {inp}: not symmetric, |a[0,1] - a[1,0]| = 1e-10 exceeds 1e-10 * max|a| = 5e-21"
+    ]
+    assert not (tmp_path / "o").exists()
+
+
 def test_parse_matrix_market_general(tmp_path):
     text = "%%MatrixMarket matrix array real general\n% comment\n2 2\n1\n3\n3\n2\n"
     path = write(tmp_path / "m.mtx", text)
@@ -805,13 +828,9 @@ def test_simulate_jobs_match_serial(tmp_path, monkeypatch):
     )
     serial = tmp_path / "serial.csv"
     pooled = tmp_path / "pooled.csv"
-    env_run = tmp_path / "env.csv"
     assert main(["simulate", "--config", cfg, "--out", str(serial)]) == 0
     assert main(["simulate", "--config", cfg, "--out", str(pooled), "--jobs", "3"]) == 0
-    monkeypatch.setenv("HETERO_SPECTRA_JOBS", "2")
-    assert main(["simulate", "--config", cfg, "--out", str(env_run)]) == 0
     assert serial.read_bytes() == pooled.read_bytes()
-    assert serial.read_bytes() == env_run.read_bytes()
 
 
 def test_simulate_dead_worker_exits_5(tmp_path, monkeypatch, capsys, deadline):
@@ -837,12 +856,14 @@ def test_simulate_dead_worker_exits_5(tmp_path, monkeypatch, capsys, deadline):
     assert not out.exists()
 
 
-def test_simulate_bad_jobs_env(tmp_path, monkeypatch, capsys):
+def test_simulate_jobs_below_one_exits_2(tmp_path, capsys):
     cfg = write(tmp_path / "cfg.json", json.dumps(minimal_config()))
-    monkeypatch.setenv("HETERO_SPECTRA_JOBS", "soon")
-    ret = main(["simulate", "--config", cfg, "--out", str(tmp_path / "rows.csv")])
-    assert ret == 2
-    assert "HETERO_SPECTRA_JOBS" in capsys.readouterr().err
+    out = tmp_path / "rows.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--jobs", "0"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: run_experiment: jobs must be an integer >= 1, got 0"
+    ]
+    assert not out.exists()
 
 
 def test_simulate_invalid_config_exit_codes(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -255,6 +256,24 @@ def test_spike_zero_alignment_branches():
 def test_spike_matches_numerical_eigendecomposition():
     for q, s in [(0.3, 2.0), (0.3, 0.5), (0.7, 1.5), (0.9, 0.8), (0.05, 3.0), (0.5, 1.0)]:
         assert spike_pca_sin_theta(q, s) == pytest.approx(pca_sin_oracle(q, s), abs=1e-8)
+
+
+def _spike_reference(q, s):
+    """The closed form of spike_pca_sin_theta evaluated with 60 decimal digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        q, s = decimal.Decimal(q), decimal.Decimal(s)
+        d = 1 - s - 2 * q * q + ((1 - s) ** 2 + 4 * s * q * q).sqrt()
+        return float(1 / (1 + 4 * q * q * (1 - q * q) / (d * d)).sqrt())
+
+
+@pytest.mark.parametrize("s", [0.5, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("q", [1e-12, 1e-9, 1e-7, 1e-5, 0.3, 0.999999])
+def test_spike_matches_high_precision_reference(q, s):
+    # above s = 1 the direct form cancels: at q = 1e-9, s = 2 it has no digits
+    # left; near q = 1, 1 - q*q loses digits that (1 - q)(1 + q) keeps
+    want = _spike_reference(q, s)
+    assert spike_pca_sin_theta(q, s) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_spike_domain_errors():

@@ -157,6 +157,13 @@ def test_alternating_zero_sigma_short_circuits():
     assert trace.stop_reason == "fixed_point" and trace.kept.size == 0
 
 
+def test_alternating_empty_sigma_runs_one_round():
+    # a 0 x 0 sigma has no entries to take the stop floor's scale from
+    dec, trace = alternating_solve(np.zeros((0, 0)), ProxSpec.psd_soft(0.5))
+    assert dec.L.shape == dec.D.shape == (0, 0)
+    assert trace.iterations == 1 and trace.stop_reason == "fixed_point"
+
+
 @pytest.mark.parametrize("p", [1, 2, 7, 50])
 @pytest.mark.parametrize("tag", METHOD_TAGS)
 def test_zero_sigma_every_method_one_round_of_exact_zeros(tag, p):
@@ -455,6 +462,32 @@ def test_heteropca_nonfinite_round_raises(monkeypatch):
     assert len(calls) == 1
 
 
+def test_alternating_overflowing_diagonal_raises():
+    # sigma and d0 are finite, but their difference overflows on round 1
+    sigma = np.array([[1e308, 0.5], [0.5, 1.0]])
+    with np.errstate(over="ignore"), pytest.raises(
+        ValueError, match="^alternating_solve: sigma - D has non-finite entries$"
+    ):
+        alternating_solve(sigma, ProxSpec.psd_soft(0.1), d0=[-1e308, 0.0])
+
+
+@pytest.mark.parametrize("tag", ["rmtfa", "hpca"])
+def test_objective_increase_raises_naming_the_fit(tag, monkeypatch):
+    real = solvers._prox_with_spectrum
+    calls = []
+
+    def doubled(spec, m, basis=None):
+        L, kept, step = real(spec, m, basis)
+        calls.append(1)
+        return (2.0 * L if len(calls) >= 2 else L), kept, step
+
+    monkeypatch.setattr(solvers, "_prox_with_spectrum", doubled)
+    sigma, tau = _desk_p8()
+    with pytest.raises(RuntimeError, match=f"^{_ENTRY_CHECK[tag]}: objective increased from "):
+        METHODS[tag](sigma, tau if tag in SOFT_METHODS else 2)
+    assert len(calls) == 2
+
+
 def _desk_p8():
     inst = gen_instance(ModelParams(n=40, p=8, r=2, seed=0))
     return inst.sigma, inst.params.sigma_r() ** 2 / 16.0
@@ -490,6 +523,44 @@ def test_large_finite_scale_converges_as_at_scale_one():
     assert big.converged and big.iterations == dec.iterations
     assert np.isfinite(big_trace.objective).all()
     assert np.allclose(big.L, dec.L * 1e100, rtol=1e-9, atol=1e-9 * 1e100)
+
+
+@pytest.mark.parametrize("e", [-60, -20, 20, 60])
+@pytest.mark.parametrize("tag", METHOD_TAGS)
+def test_power_of_two_scale_is_bitwise_equivariant(tag, e):
+    # (2**e sigma, 2**e tau) runs the same rounds and returns 2**e (L, D)
+    sigma, tau = _desk_p8()
+    c = 2.0**e
+    param, scaled = (tau, tau * c) if tag in SOFT_METHODS else (2, 2)
+    dec, trace = METHODS[tag](sigma, param)
+    got, got_trace = METHODS[tag](sigma * c, scaled)
+    assert _bits(got.L) == _bits(dec.L * c)
+    assert _bits(got.D) == _bits(dec.D * c)
+    assert got.iterations == dec.iterations
+    assert got_trace.stop_reason == trace.stop_reason
+
+
+@pytest.mark.parametrize("tag", METHOD_TAGS)
+def test_small_scale_matches_scale_one(tag):
+    sigma, tau = _desk_p8()
+    param, scaled = (tau, tau * 1e-8) if tag in SOFT_METHODS else (2, 2)
+    dec, _ = METHODS[tag](sigma, param)
+    got, _ = METHODS[tag](sigma * 1e-8, scaled)
+    assert np.linalg.norm(got.L / 1e-8 - dec.L) <= 1e-9 * np.linalg.norm(dec.L)
+    assert np.linalg.norm(got.D / 1e-8 - dec.D) <= 1e-9 * np.linalg.norm(dec.D)
+
+
+def test_tiny_scale_si_runs_to_the_scale_one_fit():
+    # with the stop test floored at an absolute 1, this fit read converged
+    # after 2 rounds and returned an L 26% off the scale-1 fit
+    inst = gen_instance(ModelParams(n=200, p=50, r=5, kappa=3.0, seed=0))
+    tau = inst.params.sigma_r() ** 2 / 16.0
+    dec, trace = soft_impute_diag(inst.sigma, tau)
+    c = 2.0**-40
+    tiny, tiny_trace = soft_impute_diag(inst.sigma * c, tau * c)
+    assert tiny.iterations == dec.iterations == 96
+    assert tiny_trace.stop_reason == trace.stop_reason == "converged"
+    assert _bits(tiny.L / c) == _bits(dec.L)
 
 
 @pytest.mark.parametrize(
