@@ -384,12 +384,7 @@ def cmd_solve(args):
 
 
 def cmd_simulate(args):
-    config = load_config(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    if args.replicates is not None:
-        config = replace(config, replicates=args.replicates)
-    rows = run_experiment(config, jobs=args.jobs)
+    rows = run_experiment(load_config(args.config), jobs=args.jobs)
     out_dir = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(out_dir, exist_ok=True)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -548,8 +543,6 @@ def _build_parser():
     pm = sub.add_parser("simulate", help="run a Monte-Carlo sweep from a JSON config")
     pm.add_argument("--config", required=True, help="experiment config JSON")
     pm.add_argument("--out", required=True, help="results CSV path")
-    pm.add_argument("--seed", type=int, help="override the config seed")
-    pm.add_argument("--replicates", type=int, help="override the config replicate count")
     pm.add_argument("--jobs", type=int, default=1, help="worker processes (default: 1)")
     pm.add_argument(
         "--timings",

@@ -8,6 +8,7 @@ import numpy as np
 from .matcore import (
     _as_int,
     _as_real,
+    _as_square,
     _as_sym,
     check_orthonormal,
     poffdiag,
@@ -121,7 +122,10 @@ def psi_residual(sigma, dec):
 def heywood_check(dec):
     """True when the fitted diagonal has an entry <= 0 (an improper solution)."""
     _, D = _dec_pair(dec, "heywood_check")
-    return bool(np.min(np.diagonal(D)) <= 0.0)
+    d = np.diagonal(_as_square(D, "heywood_check: D"))
+    if not np.isfinite(d).all():
+        raise ValueError("heywood_check: D has non-finite diagonal entries")
+    return bool((d <= 0.0).any())
 
 
 def spike_pca_sin_theta(q, s):

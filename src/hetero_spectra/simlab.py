@@ -152,6 +152,8 @@ class ExperimentConfig:
         if not values:
             raise ValueError("ExperimentConfig: vary_values must be non-empty")
         object.__setattr__(self, "vary_values", values)
+        if isinstance(self.methods, str):
+            raise ValueError(f"ExperimentConfig: methods takes a sequence of tags, not {self.methods!r}")
         methods = tuple(self.methods)
         if not methods:
             raise ValueError("ExperimentConfig: methods must be non-empty")

@@ -82,12 +82,11 @@ class StopRule:
 
     Iteration halts once ``||L_k - L_{k-1}||_F <= rel_tol * max(s, ||L_{k-1}||_F)``
     or after ``max_iter`` low-rank updates, whichever comes first. The floor
-    ``s = 2**floor(log2(max|sigma|))`` is sigma's power-of-two scale (1 when
-    ``max|sigma|`` lies in [1, 2)), so a fit of ``(2**e sigma, 2**e tau)``
-    runs the same rounds as that of ``(sigma, tau)`` and returns ``2**e``
-    times its ``(L, D)``. The rank fits' fixed budget is ``rel_tol = 0``,
-    which a ``StopRule`` does not take: it stops early only at an exact
-    fixed point and counts as converged.
+    ``s = 2**floor(log2(max|poffdiag(sigma)|))`` is the power-of-two scale of sigma's
+    off-diagonal (``D`` absorbs the diagonal), so a fit of ``(2**e sigma, 2**e tau)``
+    runs the same rounds as that of ``(sigma, tau)`` and returns ``2**e`` times its
+    ``(L, D)``. The rank fits' fixed budget is ``rel_tol = 0``, which a ``StopRule``
+    does not take: it stops early only at an exact fixed point and counts as converged.
     """
 
     rel_tol: float = 1e-10
@@ -260,12 +259,12 @@ def _run(op, sigma, prox, d, rel_tol, max_iter, trace):
     last round.
     """
     p = sigma.shape[0]
-    # sigma's power-of-two scale floors the stop test and the objective check
-    top = max(sigma.max(initial=0.0), -sigma.min(initial=0.0))
-    scale = math.ldexp(0.5, math.frexp(top)[1])
     sigma_diag = np.diagonal(sigma)
     M = sigma.copy()  # sigma - diag(d): only its diagonal changes
     m_diag = M.reshape(-1)[:: p + 1]
+    m_diag[:] = 0.0  # D absorbs sigma's diagonal; round 1 overwrites M's
+    top = max(M.max(initial=0.0), -M.min(initial=0.0))
+    scale = math.ldexp(0.5, math.frexp(top)[1])  # floors the stop and objective tests
     L_prev = np.zeros_like(sigma)
     prev_norm = 0.0
     basis = None

@@ -150,7 +150,8 @@ def alternating_reference(sigma, kind, param, d0=None, rel_tol=1e-10, max_iter=1
     to: eigenvalues sorted descending with a stable sort, the kept spectrum
     rebuilt as ``((V*w) @ V.T + its transpose) / 2``, ``D = pdiag(sigma - L)``,
     ``psi = sum(poffdiag(sigma - L)**2)`` and the relative-step stop rule,
-    floored at sigma's power-of-two scale ``2**floor(log2(max|sigma|))``.
+    floored at the power-of-two scale of sigma's off-diagonal,
+    ``2**floor(log2(max|poffdiag(sigma)|))``.
 
     Returns
     -------
@@ -178,7 +179,7 @@ def alternating_reference(sigma, kind, param, d0=None, rel_tol=1e-10, max_iter=1
     else:
         D = np.array(d0, dtype=float)
     L_prev = np.zeros_like(sigma)
-    top = float(np.max(np.abs(sigma)))
+    top = float(np.max(np.abs(poffdiag(sigma)), initial=0.0))
     floor = 2.0 ** math.floor(math.log2(top)) if top > 0.0 else 1.0
     out = {"objective": [], "fixed_point_residual": [], "psi": [], "converged": False}
     out["iterates"] = [] if keep_iterates else None

@@ -799,16 +799,26 @@ def test_simulate_byte_identical_reruns(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_simulate_seed_and_replicate_overrides(tmp_path):
+def test_simulate_seed_and_replicates_come_from_the_config(tmp_path):
+    rows = {}
+    for name, overrides in [("base", {}), ("reseeded", {"seed": 999}), ("more", {"replicates": 3})]:
+        cfg = write(tmp_path / f"{name}.json", json.dumps(minimal_config(**overrides)))
+        out = tmp_path / f"{name}.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        rows[name] = out.read_text().splitlines()[2:]
+    assert len(rows["base"]) == 1 and rows["reseeded"] != rows["base"]
+    assert len(rows["more"]) == 3 and rows["more"][0] == rows["base"][0]
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--replicates"])
+def test_simulate_has_no_seed_or_replicates_flag(tmp_path, capsys, flag):
     cfg = write(tmp_path / "cfg.json", json.dumps(minimal_config()))
-    base = tmp_path / "base.csv"
-    reseeded = tmp_path / "seeded.csv"
-    more = tmp_path / "more.csv"
-    assert main(["simulate", "--config", cfg, "--out", str(base)]) == 0
-    assert main(["simulate", "--config", cfg, "--out", str(reseeded), "--seed", "999"]) == 0
-    assert main(["simulate", "--config", cfg, "--out", str(more), "--replicates", "3"]) == 0
-    assert base.read_bytes() != reseeded.read_bytes()
-    assert len(more.read_text().splitlines()) == 2 + 3
+    out = tmp_path / "rows.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", cfg, "--out", str(out), flag, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_timings_flag(tmp_path):

@@ -237,6 +237,21 @@ def test_heywood_check():
     assert heywood_check((L, np.diag([1.0, 0.0])))
 
 
+@pytest.mark.parametrize(
+    "D, match",
+    [
+        (np.diag([1.0, np.nan]), "^heywood_check: D has non-finite diagonal entries$"),
+        (np.diag([np.inf, 1.0]), "^heywood_check: D has non-finite diagonal entries$"),
+        (np.array([1.0, 2.0]), r"^heywood_check: D: expected a square matrix, got shape \(2,\)$"),
+        (np.ones((2, 3)), r"^heywood_check: D: expected a square matrix, got shape \(2, 3\)$"),
+    ],
+    ids=["nan", "inf", "1-d", "non-square"],
+)
+def test_heywood_rejects_a_malformed_D(D, match):
+    with pytest.raises(ValueError, match=match):
+        heywood_check((np.zeros((2, 2)), D))
+
+
 def test_heywood_accepts_decomposition():
     rng = np.random.default_rng(91)
     b = rng.standard_normal((5, 5))

@@ -1,4 +1,4 @@
-"""The public API keeps working: names, parameters and the README quick start.
+"""The public API keeps working: names, parameters and the README examples.
 
 The pins below list what ``hetero_spectra`` binds and what its callables
 take. They are checked as subsets (and parameter lists as leading
@@ -8,9 +8,11 @@ edit here; a removal or rename fails.
 
 import inspect
 import re
+import shlex
 from pathlib import Path
 
 import hetero_spectra
+import hetero_spectra.cli as cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -102,3 +104,19 @@ def test_readme_quick_start_runs():
     exec(compile(blocks[0], "README.md", "exec"), scope)
     assert scope["dec"].converged and scope["trace"].stop_reason == "converged"
     assert scope["basis"].shape == (30, 3)
+
+
+def test_readme_command_lines_parse():
+    # a flag removed from the CLI must not live on in the docs
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+    lines = [ln for b in blocks for ln in b.splitlines() if ln.startswith("hetero-spectra ")]
+    assert {shlex.split(ln)[1] for ln in lines} == {"solve", "simulate", "plot"}
+    parser = cli._build_parser()
+    rejected = []
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            rejected.append(line)
+    assert not rejected

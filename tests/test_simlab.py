@@ -200,6 +200,15 @@ def test_gen_masked_tiny_theta_keeps_everything():
 # ---------------------------------------------------------------- config
 
 
+def test_config_methods_string_is_not_read_as_tags():
+    # tuple("rmtfa") would be five one-letter tags
+    with pytest.raises(
+        ValueError,
+        match="^ExperimentConfig: methods takes a sequence of tags, not 'rmtfa'$",
+    ):
+        ExperimentConfig(n=20, p=8, r=2, vary_param="omega", vary_values=(1.0,), methods="rmtfa")
+
+
 def test_config_validation():
     ok = dict(n=20, p=8, r=2, vary_param="omega", vary_values=(0.5, 1.0))
     ExperimentConfig(**ok)

@@ -550,17 +550,33 @@ def test_small_scale_matches_scale_one(tag):
     assert np.linalg.norm(got.D / 1e-8 - dec.D) <= 1e-9 * np.linalg.norm(dec.D)
 
 
+def _desk_p50():
+    inst = gen_instance(ModelParams(n=200, p=50, r=5, kappa=3.0, seed=0))
+    return inst.sigma, inst.params.sigma_r() ** 2 / 16.0
+
+
 def test_tiny_scale_si_runs_to_the_scale_one_fit():
     # with the stop test floored at an absolute 1, this fit read converged
     # after 2 rounds and returned an L 26% off the scale-1 fit
-    inst = gen_instance(ModelParams(n=200, p=50, r=5, kappa=3.0, seed=0))
-    tau = inst.params.sigma_r() ** 2 / 16.0
-    dec, trace = soft_impute_diag(inst.sigma, tau)
+    sigma, tau = _desk_p50()
+    dec, trace = soft_impute_diag(sigma, tau)
     c = 2.0**-40
-    tiny, tiny_trace = soft_impute_diag(inst.sigma * c, tau * c)
+    tiny, tiny_trace = soft_impute_diag(sigma * c, tau * c)
     assert tiny.iterations == dec.iterations == 96
     assert tiny_trace.stop_reason == trace.stop_reason == "converged"
     assert _bits(tiny.L / c) == _bits(dec.L)
+
+
+@pytest.mark.parametrize("shift", [1e6, 1e8])
+@pytest.mark.parametrize("fit, rounds", [(rmtfa, 37), (soft_impute_diag, 96)], ids=["rmtfa", "si"])
+def test_diagonal_shift_leaves_the_stop_test_as_it_was(fit, rounds, shift):
+    # D absorbs sigma's diagonal; with the floor taken over all of sigma,
+    # rmtfa stopped after 27 and 18 rounds here, 2.1e-8 and 2.1e-6 off
+    sigma, tau = _desk_p50()
+    dec, _ = fit(sigma, tau)
+    got, _ = fit(sigma + shift * np.eye(sigma.shape[0]), tau)
+    assert got.iterations == dec.iterations == rounds
+    assert np.linalg.norm(got.L - dec.L) <= 1e-10 * np.linalg.norm(dec.L)
 
 
 @pytest.mark.parametrize(
