@@ -6,8 +6,9 @@ matrix product can break it in the last ulp.
 
 ``_as_int`` and ``_as_real`` are the package's one rule for scalar
 arguments: a finite ``numbers.Real`` (bool and numpy scalars included),
-integral for ``_as_int``. Anything else raises ``ValueError`` naming the
-argument and the value; range checks stay with the caller.
+integral for ``_as_int``, within the bounds the caller passes. Anything
+else raises ``ValueError`` naming the argument, the range and the value:
+the rule takes the range; cross-field checks stay with the caller.
 """
 
 import math
@@ -47,23 +48,42 @@ class EigenDecomp(NamedTuple):
     vectors: np.ndarray
 
 
-def _as_int(x, what, lo=None):
-    """``x`` as an int, if it is a finite integral real number (>= ``lo``)."""
+def _range_text(lo, lo_open, hi, hi_open):
+    """`` > 0``, `` >= 1``, `` in (0, 1)``, `` in [1, p]``: a rule's range for its message.
+
+    The rules take an upper bound only together with a lower one.
+    """
+    if lo is None:
+        return ""
+    if hi is None:
+        return f" {'>' if lo_open else '>='} {lo}"
+    return f" in {'(' if lo_open else '['}{lo}, {hi}{')' if hi_open else ']'}"
+
+
+def _as_int(x, what, lo=None, hi=None):
+    """``x`` as an int, if it is a finite integral real number in ``[lo, hi]``."""
     if isinstance(x, numbers.Real):
         with suppress(OverflowError, ValueError):  # int() of inf or NaN
-            if int(x) == x and (lo is None or x >= lo):
+            if int(x) == x and (lo is None or x >= lo) and (hi is None or x <= hi):
                 return int(x)
-    bound = "" if lo is None else f" >= {lo}"
-    raise ValueError(f"{what} must be an integer{bound}, got {x!r}")
+    raise ValueError(f"{what} must be an integer{_range_text(lo, False, hi, False)}, got {x!r}")
 
 
-def _as_real(x, what):
-    """``x`` as a float, if it is a finite real number."""
+def _as_real(x, what, gt=None, ge=None, lt=None):
+    """``x`` as a float, if it is a finite real number ``> gt``, ``>= ge`` and ``< lt``
+    (each bound where given)."""
     if isinstance(x, numbers.Real):
-        with suppress(OverflowError):  # math.isfinite of an int beyond float range
-            if math.isfinite(x):
-                return float(x)
-    raise ValueError(f"{what} must be a finite number, got {x!r}")
+        with suppress(OverflowError):  # float() of an int beyond float range
+            v = float(x)
+            if (
+                math.isfinite(v)
+                and (gt is None or v > gt)
+                and (ge is None or v >= ge)
+                and (lt is None or v < lt)
+            ):
+                return v
+    bound = _range_text(ge, False, lt, True) if gt is None else _range_text(gt, True, lt, True)
+    raise ValueError(f"{what} must be a finite number{bound}, got {x!r}")
 
 
 def _as_square(m, op):
@@ -125,12 +145,14 @@ def check_orthonormal(u, tol=1e-8, name="basis"):
     u : (p, r) ndarray
         Candidate basis, requires r <= p.
     tol : float
-        Allowed deviation of ``u.T @ u`` from the identity, in max norm.
+        Allowed deviation of ``u.T @ u`` from the identity, in max norm;
+        finite and >= 0.
 
     Returns
     -------
     (p, r) float ndarray.
     """
+    tol = _as_real(tol, f"{name}: tol", ge=0)
     u = np.asarray(u, dtype=float)
     if u.ndim != 2:
         raise ValueError(f"{name}: expected a 2-d array, got shape {u.shape}")

@@ -142,12 +142,8 @@ def spike_pca_sin_theta(q, s):
     -------
     float in [0, 1]. At q = 0 the limit is 1 below s = 1 and 0 above.
     """
-    q = _as_real(q, "spike_pca_sin_theta: q")
-    s = _as_real(s, "spike_pca_sin_theta: s")
-    if not 0.0 <= q < 1.0:
-        raise ValueError(f"spike_pca_sin_theta: q must lie in [0, 1), got {q}")
-    if s <= 0.0:
-        raise ValueError(f"spike_pca_sin_theta: s must be finite and > 0, got {s}")
+    q = _as_real(q, "spike_pca_sin_theta: q", ge=0, lt=1)
+    s = _as_real(s, "spike_pca_sin_theta: s", gt=0)
     if q == 0.0:
         return 1.0 if s < 1.0 else 0.0
     # sin = d / hypot(d, e) with d = a + b. When a < 0 that sum cancels, and
@@ -203,15 +199,9 @@ def sin_theta_event(u, w, tau, lambda_r, rho):
     w = _as_sym(w, "sin_theta_event: w")
     if w.shape[0] != u.shape[0]:
         raise ValueError("sin_theta_event: w shape does not match u")
-    tau = _as_real(tau, "sin_theta_event: tau")
-    if tau < 0:
-        raise ValueError(f"sin_theta_event: tau must be finite and >= 0, got {tau}")
-    lambda_r = _as_real(lambda_r, "sin_theta_event: lambda_r")
-    if lambda_r <= 0:
-        raise ValueError(f"sin_theta_event: lambda_r must be finite and > 0, got {lambda_r}")
-    rho = _as_real(rho, "sin_theta_event: rho")
-    if not 0.0 < rho < 1.0:
-        raise ValueError(f"sin_theta_event: rho must lie in (0, 1), got {rho}")
+    tau = _as_real(tau, "sin_theta_event: tau", ge=0)
+    lambda_r = _as_real(lambda_r, "sin_theta_event: lambda_r", gt=0)
+    rho = _as_real(rho, "sin_theta_event: rho", gt=0, lt=1)
     coherence_term = 3.0 * max_row_norm(u)
     noise_term = (tau + spectral_norm_sym(poffdiag(w))) / lambda_r
     bound = 2.0 / (1.0 - rho) * noise_term

@@ -55,9 +55,7 @@ class ProxSpec:
         if self.kind not in _KINDS:
             raise ValueError(f"ProxSpec: unknown kind {self.kind!r}")
         if self.kind in ("psd_soft", "sym_soft"):
-            tau = _as_real(self.tau, "ProxSpec: tau")
-            if tau < 0:
-                raise ValueError(f"ProxSpec: soft-threshold kinds need tau >= 0, got {tau!r}")
+            tau = _as_real(self.tau, "ProxSpec: tau", ge=0)
             if self.r is not None:
                 raise ValueError("ProxSpec: r is not accepted for soft-threshold kinds")
             object.__setattr__(self, "tau", tau)
@@ -89,13 +87,6 @@ def _rebuild(vecs, vals):
     # exact zero matrix (an empty inner product), not a rounded one
     x = (vecs * vals) @ vecs.T
     return (x + x.T) / 2.0
-
-
-def _check_rank(r, p):
-    r = _as_int(r, "rank")
-    if not 1 <= r <= p:
-        raise ValueError(f"rank must satisfy 1 <= r <= {p}, got {r}")
-    return r
 
 
 def _select(spec, vals):
@@ -134,7 +125,7 @@ def _penalty(spec, kept):
 def _apply(spec, m, op):
     m = _as_sym(m, op)
     if spec.r is not None:
-        _check_rank(spec.r, m.shape[0])
+        _as_int(spec.r, "rank", lo=1, hi=m.shape[0])
     return _prox_with_spectrum(spec, m)[0]
 
 

@@ -52,7 +52,7 @@ class ModelParams:
     """Shape of one synthetic instance.
 
     n samples, p variables, planted rank r, spectrum condition number
-    kappa >= 1 and noise-scale ceiling omega >= 0. The signal spectrum is
+    kappa >= 1 and noise-scale ceiling omega > 0. The signal spectrum is
     pinned at ``sigma_r = (n*p)**0.25 + sqrt(p)`` with the remaining
     values log-spaced up to ``kappa * sigma_r``.
     """
@@ -72,15 +72,10 @@ class ModelParams:
             raise ValueError(
                 f"ModelParams: r = {self.r} exceeds min(n, p) = {min(self.n, self.p)}"
             )
-        for name in ("kappa", "omega"):
-            value = _as_real(getattr(self, name), f"ModelParams: {name}")
-            object.__setattr__(self, name, value)
-        if self.kappa < 1.0:
-            raise ValueError(f"ModelParams: kappa must be >= 1, got {self.kappa}")
+        object.__setattr__(self, "kappa", _as_real(self.kappa, "ModelParams: kappa", ge=1))
+        object.__setattr__(self, "omega", _as_real(self.omega, "ModelParams: omega", gt=0))
         if self.r == 1 and self.kappa != 1.0:
             raise ValueError("ModelParams: r = 1 admits no spread, kappa must be 1")
-        if self.omega <= 0.0:
-            raise ValueError(f"ModelParams: omega must be > 0, got {self.omega}")
         object.__setattr__(self, "seed", _as_int(self.seed, "ModelParams: seed"))
         if self.r > ledermann_bound(self.p):
             warnings.warn(
@@ -124,6 +119,18 @@ class ResultRow:
     status: str
 
 
+def _as_tuple(x, field, items):
+    """``x`` as a tuple, if it is an iterable other than a string."""
+    if not isinstance(x, (str, bytes)):
+        try:
+            it = iter(x)
+        except TypeError:
+            pass
+        else:
+            return tuple(it)
+    raise ValueError(f"ExperimentConfig: {field} takes a sequence of {items}, not {x!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative sweep: a base model, one varied parameter, methods, seeds."""
@@ -148,13 +155,11 @@ class ExperimentConfig:
         # the sweep replaces the varied field's base value, so only its type is checked
         rule = _as_int if self.vary_param in ("n", "p", "r") else _as_real
         rule(getattr(self, self.vary_param), f"ExperimentConfig: {self.vary_param}")
-        values = tuple(self.vary_values)
+        values = _as_tuple(self.vary_values, "vary_values", "values")
         if not values:
             raise ValueError("ExperimentConfig: vary_values must be non-empty")
         object.__setattr__(self, "vary_values", values)
-        if isinstance(self.methods, str):
-            raise ValueError(f"ExperimentConfig: methods takes a sequence of tags, not {self.methods!r}")
-        methods = tuple(self.methods)
+        methods = _as_tuple(self.methods, "methods", "tags")
         if not methods:
             raise ValueError("ExperimentConfig: methods must be non-empty")
         for m in methods:
@@ -170,9 +175,7 @@ class ExperimentConfig:
             if self.tau_rule != "sigma_r_sq_over_16":
                 raise ValueError(f"ExperimentConfig: unknown tau_rule {self.tau_rule!r}")
         else:
-            t = _as_real(self.tau_rule, "ExperimentConfig: tau_rule")
-            if t <= 0:
-                raise ValueError(f"ExperimentConfig: numeric tau_rule must be > 0, got {t}")
+            t = _as_real(self.tau_rule, "ExperimentConfig: tau_rule", gt=0)
             object.__setattr__(self, "tau_rule", t)
         # every swept setting must give a valid model; fail before running
         for v in values:
@@ -237,9 +240,7 @@ def gen_masked(y, theta, rng):
     (masked, observed) : the masked copy and the boolean keep-mask.
     """
     y = np.asarray(y, dtype=float)
-    theta = _as_real(theta, "gen_masked: theta")
-    if not 0.0 < theta < 1.0:
-        raise ValueError(f"gen_masked: theta must lie in (0, 1), got {theta}")
+    theta = _as_real(theta, "gen_masked: theta", gt=0, lt=1)
     observed = rng.uniform(size=y.shape) >= theta
     masked = np.where(observed, y, 0.0)
     return masked, observed

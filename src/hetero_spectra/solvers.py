@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matcore import EigenSolverError, _as_int, _as_real, _as_sym, _fro, eig_sym, pdiag, poffdiag
-from .shrinkage import ProxSpec, _check_rank, _penalty, _prox_with_spectrum
+from .shrinkage import ProxSpec, _penalty, _prox_with_spectrum
 
 __all__ = [
     "METHOD_TAGS",
@@ -93,10 +93,7 @@ class StopRule:
     max_iter: int = 1000
 
     def __post_init__(self):
-        rel_tol = _as_real(self.rel_tol, "StopRule: rel_tol")
-        if rel_tol <= 0:
-            raise ValueError(f"StopRule: rel_tol must be finite and > 0, got {rel_tol}")
-        object.__setattr__(self, "rel_tol", rel_tol)
+        object.__setattr__(self, "rel_tol", _as_real(self.rel_tol, "StopRule: rel_tol", gt=0))
         # max_iter=10.0 is accepted; the loop needs the int
         object.__setattr__(self, "max_iter", _as_int(self.max_iter, "StopRule: max_iter", lo=1))
 
@@ -177,9 +174,7 @@ def objective_F(sigma, L, D, tau):
     D = np.diag(_diag_vector(D, sigma.shape[0], "objective_F: D"))
     if L.shape != sigma.shape:
         raise ValueError("objective_F: L shape does not match sigma")
-    tau = _as_real(tau, "objective_F: tau")
-    if tau < 0:
-        raise ValueError(f"objective_F: tau must be finite and >= 0, got {tau}")
+    tau = _as_real(tau, "objective_F: tau", ge=0)
     # the nuclear norm of the checked L, as nuclear_norm_sym computes it
     nuclear = float(np.sum(np.abs(np.linalg.eigvalsh(L))))
     return tau * nuclear + 0.5 * float(np.sum((sigma - L - D) ** 2))
@@ -237,7 +232,7 @@ def alternating_solve(sigma, prox, d0=None, stop=None, keep_iterates=False):
         raise ValueError("alternating_solve: stop must be a StopRule")
     p = sigma.shape[0]
     if prox.r is not None:
-        _check_rank(prox.r, p)
+        _as_int(prox.r, "rank", lo=1, hi=p)
     d = np.diagonal(sigma) if d0 is None else _diag_vector(d0, p)
     trace = SolverTrace(iterates=[] if keep_iterates else None)
     L, d = _run("alternating_solve", sigma, prox, d, stop.rel_tol, stop.max_iter, trace)
@@ -322,13 +317,6 @@ def _run(op, sigma, prox, d, rel_tol, max_iter, trace):
     return L, d
 
 
-def _check_tau_positive(tau, op):
-    tau = _as_real(tau, f"{op}: tau")
-    if tau <= 0:
-        raise ValueError(f"{op}: tau must be finite and > 0, got {tau}")
-    return tau
-
-
 def rmtfa(sigma, tau, stop=None, d0=None, keep_iterates=False):
     """Nuclear-norm penalized fit with L restricted to the PSD cone.
 
@@ -344,7 +332,7 @@ def rmtfa(sigma, tau, stop=None, d0=None, keep_iterates=False):
     -------
     (Decomposition, SolverTrace)
     """
-    tau = _check_tau_positive(tau, "rmtfa")
+    tau = _as_real(tau, "rmtfa: tau", gt=0)
     return alternating_solve(sigma, SOFT_METHODS["rmtfa"](tau), d0, stop, keep_iterates)
 
 
@@ -354,7 +342,7 @@ def soft_impute_diag(sigma, tau, stop=None, d0=None, keep_iterates=False):
     The low-rank step is the signed eigenvalue soft-threshold, so the
     returned L can be indefinite.
     """
-    tau = _check_tau_positive(tau, "soft_impute_diag")
+    tau = _as_real(tau, "soft_impute_diag: tau", gt=0)
     return alternating_solve(sigma, SOFT_METHODS["si"](tau), d0, stop, keep_iterates)
 
 
@@ -366,7 +354,7 @@ def _fixed_budget(tag, sigma, prox, rounds, zero_start=False, keep_iterates=Fals
     """
     sigma = _as_sym(sigma, tag)
     p = sigma.shape[0]
-    _check_rank(prox.r, p)
+    _as_int(prox.r, "rank", lo=1, hi=p)
     trace = SolverTrace(iterates=[] if keep_iterates else None)
     d = np.zeros(p) if zero_start else np.diagonal(sigma)
     L, d = _run(tag, sigma, prox, d, 0.0, rounds, trace)
@@ -413,7 +401,7 @@ def _deflated_run(sigma, r, rounds):
     stage's first residual follows the ``L_0 = 0`` rule.
     """
     sigma = _as_sym(sigma, "deflated_heteropca")
-    r = _check_rank(r, sigma.shape[0])
+    r = _as_int(r, "rank", lo=1, hi=sigma.shape[0])
     trace = SolverTrace()
     d = np.diagonal(sigma)
     r_prev = 0
@@ -520,6 +508,7 @@ def _numerical_rank(vals, rel_cutoff=1e-8):
 def numerical_rank_sym(m, rel_cutoff=1e-8):
     """Count of eigenvalues above ``rel_cutoff`` times the largest magnitude."""
     m = _as_sym(m, "numerical_rank_sym")
+    rel_cutoff = _as_real(rel_cutoff, "numerical_rank_sym: rel_cutoff", ge=0, lt=1)
     return _numerical_rank(np.linalg.eigvalsh(m), rel_cutoff)
 
 
@@ -543,7 +532,7 @@ def extract_subspace(x, r, return_info=False):
     (p, r) ndarray, or ``(basis, deficient)`` with ``return_info=True``.
     """
     vals, vecs = eig_sym(x.L if isinstance(x, Decomposition) else x)
-    r = _check_rank(r, vals.size)
+    r = _as_int(r, "rank", lo=1, hi=vals.size)
     if not return_info:
         return vecs[:, :r]
     return vecs[:, :r], _numerical_rank(vals) < r

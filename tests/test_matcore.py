@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -9,11 +10,17 @@ from hetero_spectra import (
     ModelParams,
     ProxSpec,
     StopRule,
+    alternating_solve,
+    apply_prox,
     check_orthonormal,
+    deflated_heteropca,
     eig_sym,
     gen_masked,
+    heteropca,
+    heteropca_psd,
     ledermann_bound,
     nuclear_norm_sym,
+    numerical_rank_sym,
     objective_F,
     pca_baseline,
     pdiag,
@@ -21,6 +28,7 @@ from hetero_spectra import (
     rmtfa,
     run_experiment,
     sin_theta_event,
+    soft_impute_diag,
     spectral_norm_sym,
     spike_pca_sin_theta,
     symmetrize,
@@ -225,6 +233,14 @@ def test_check_orthonormal_rejects_bad_arrays(u, match):
         check_orthonormal(u)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1.0], ids=repr)
+def test_check_orthonormal_rejects_a_tol_that_passes_any_basis(tol):
+    # max|u.T u - I| > nan is False, so a NaN tol used to pass this basis
+    msg = rf"^basis: tol must be a finite number >= 0, got {tol!r}$"
+    with pytest.raises(ValueError, match=msg):
+        check_orthonormal(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), tol=tol)
+
+
 # ---------------------------------------------------------------- scalar arguments
 
 
@@ -269,6 +285,8 @@ SCALAR_ENTRY_POINTS = [
     ("sin_theta_event", "tau", lambda x: sin_theta_event(_U, _W, x, 1.0, 0.5), np.float64(0.5)),
     ("sin_theta_event", "lambda_r", lambda x: sin_theta_event(_U, _W, 0, x, 0.5), np.float64(0.5)),
     ("sin_theta_event", "rho", lambda x: sin_theta_event(_U, _W, 0, 1.0, x), np.float64(0.5)),
+    ("check_orthonormal", "tol", lambda x: check_orthonormal(_U, tol=x), np.float64(0.5)),
+    ("numerical_rank_sym", "rel_cutoff", lambda x: numerical_rank_sym(_W, x), np.float64(0.5)),
 ]
 _IDS = [f"{op}-{arg}" for op, arg, _, _ in SCALAR_ENTRY_POINTS]
 
@@ -285,3 +303,83 @@ def test_scalar_arguments_reject_non_numbers(op, arg, call, good, bad):
 @pytest.mark.parametrize("op, arg, call, good", SCALAR_ENTRY_POINTS, ids=_IDS)
 def test_scalar_arguments_accept_numpy_scalars(op, arg, call, good):
     call(good)
+
+
+# the nearest floats inside an open bound and outside a closed one
+_ABOVE_0, _BELOW_0 = math.nextafter(0.0, 1.0), math.nextafter(0.0, -1.0)
+_BELOW_1 = math.nextafter(1.0, 0.0)
+_S3 = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
+_GT0, _GE0, _GE1 = "a finite number > 0", "a finite number >= 0", "a finite number >= 1"
+_OPEN01, _HALF01 = "a finite number in (0, 1)", "a finite number in [0, 1)"
+_INT1, _RANK3 = "an integer >= 1", "an integer in [1, 3]"
+
+
+def _rank_cutoff(x):
+    return numerical_rank_sym(_S3, x)
+
+
+def _theta(x):
+    return gen_masked(_W, x, np.random.default_rng(0))
+
+
+def _q(x):
+    return spike_pca_sin_theta(x, 2.0)
+
+
+def _lambda_r(x):
+    return sin_theta_event(_U, _W, 0, x, 0.5)
+
+
+def _rho(x):
+    return sin_theta_event(_U, _W, 0, 1.0, x)
+
+
+# (entry point, argument, call, rule as the message gives it, the first value
+# outside the range, the boundary or the nearest value inside it on that side)
+RANGED_ENTRY_POINTS = [
+    ("StopRule", "rel_tol", lambda x: StopRule(rel_tol=x), _GT0, 0, _ABOVE_0),
+    ("StopRule", "max_iter", lambda x: StopRule(max_iter=x), _INT1, 0, 1),
+    ("ProxSpec", "tau", ProxSpec.psd_soft, _GE0, _BELOW_0, 0),
+    ("ProxSpec", "r", ProxSpec.rank, _INT1, 0, 1),
+    ("objective_F", "tau", lambda x: objective_F(np.eye(4), _W, _W, x), _GE0, _BELOW_0, 0),
+    ("rmtfa", "tau", lambda x: rmtfa(_S3, x), _GT0, 0, _ABOVE_0),
+    ("soft_impute_diag", "tau", lambda x: soft_impute_diag(_S3, x), _GT0, 0, _ABOVE_0),
+    ("apply_prox", "rank", lambda x: apply_prox(ProxSpec.rank(x), _S3), _RANK3, 4, 3),
+    ("alternating_solve", "rank", lambda x: alternating_solve(_S3, ProxSpec.rank(x)), _RANK3, 4, 3),
+    ("heteropca", "rank", lambda x: heteropca(_S3, x), _RANK3, 4, 3),
+    ("heteropca", "t_max", lambda x: heteropca(_S3, 1, t_max=x), _INT1, 0, 1),
+    ("deflated_heteropca", "rank", lambda x: deflated_heteropca(_S3, x), _RANK3, 4, 3),
+    ("heteropca_psd", "t_max", lambda x: heteropca_psd(_S3, 1, t_max=x), _INT1, 0, 1),
+    ("pca_baseline", "rank", lambda x: pca_baseline(_S3, x), _RANK3, 4, 3),
+    ("pca_baseline", "rank", lambda x: pca_baseline(_S3, x), _RANK3, 0, 1),
+    ("numerical_rank_sym", "rel_cutoff", _rank_cutoff, _HALF01, _BELOW_0, 0),
+    ("numerical_rank_sym", "rel_cutoff", _rank_cutoff, _HALF01, 1, _BELOW_1),
+    ("check_orthonormal", "tol", lambda x: check_orthonormal(_U, tol=x), _GE0, _BELOW_0, 0),
+    ("ModelParams", "n", lambda x: ModelParams(n=x, p=6, r=1), _INT1, 0, 1),
+    ("ModelParams", "kappa", lambda x: ModelParams(n=8, p=6, r=2, kappa=x), _GE1, _BELOW_1, 1),
+    ("ModelParams", "omega", lambda x: ModelParams(n=8, p=6, r=2, omega=x), _GT0, 0, _ABOVE_0),
+    ("ExperimentConfig", "replicates", lambda x: _config(replicates=x), _INT1, 0, 1),
+    ("ExperimentConfig", "tau_rule", lambda x: _config(tau_rule=x), _GT0, 0, _ABOVE_0),
+    ("run_experiment", "jobs", lambda x: run_experiment(_config(), jobs=x), _INT1, 0, 1),
+    ("gen_masked", "theta", _theta, _OPEN01, 0, _ABOVE_0),
+    ("gen_masked", "theta", _theta, _OPEN01, 1, _BELOW_1),
+    ("ledermann_bound", "p", ledermann_bound, _INT1, 0, 1),
+    ("spike_pca_sin_theta", "q", _q, _HALF01, _BELOW_0, 0),
+    ("spike_pca_sin_theta", "q", _q, _HALF01, 1, _BELOW_1),
+    ("spike_pca_sin_theta", "s", lambda x: spike_pca_sin_theta(0.5, x), _GT0, 0, _ABOVE_0),
+    ("sin_theta_event", "tau", lambda x: sin_theta_event(_U, _W, x, 1.0, 0.5), _GE0, _BELOW_0, 0),
+    ("sin_theta_event", "lambda_r", _lambda_r, _GT0, 0, _ABOVE_0),
+    ("sin_theta_event", "rho", _rho, _OPEN01, 0, _ABOVE_0),
+    ("sin_theta_event", "rho", _rho, _OPEN01, 1, _BELOW_1),
+]
+
+
+@pytest.mark.parametrize(
+    "op, arg, call, rule, outside, inside",
+    RANGED_ENTRY_POINTS,
+    ids=[f"{op}-{arg}-{outside!r}" for op, arg, _, _, outside, _ in RANGED_ENTRY_POINTS],
+)
+def test_scalar_ranges(op, arg, call, rule, outside, inside):
+    with pytest.raises(ValueError, match=re.escape(f"{arg} must be {rule}, got {outside!r}")):
+        call(outside)
+    call(inside)

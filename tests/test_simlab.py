@@ -209,6 +209,22 @@ def test_config_methods_string_is_not_read_as_tags():
         ExperimentConfig(n=20, p=8, r=2, vary_param="omega", vary_values=(1.0,), methods="rmtfa")
 
 
+@pytest.mark.parametrize(
+    "field, value, match",
+    [
+        # tuple("12") would be the two values '1' and '2'
+        ("vary_values", "12", "vary_values takes a sequence of values, not '12'"),
+        ("vary_values", 5, "vary_values takes a sequence of values, not 5"),
+        ("methods", 5, "methods takes a sequence of tags, not 5"),
+    ],
+    ids=repr,
+)
+def test_config_sequence_fields_reject_strings_and_scalars(field, value, match):
+    kw = dict(n=20, p=8, r=2, vary_param="kappa", vary_values=(2.0,), methods=("svd",))
+    with pytest.raises(ValueError, match=f"^ExperimentConfig: {match}$"):
+        ExperimentConfig(**{**kw, field: value})
+
+
 def test_config_validation():
     ok = dict(n=20, p=8, r=2, vary_param="omega", vary_values=(0.5, 1.0))
     ExperimentConfig(**ok)
