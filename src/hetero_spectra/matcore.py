@@ -4,11 +4,13 @@ Everything here works on plain float ndarrays. Symmetry is treated as an
 exact (bitwise) property, use ``symmetrize`` when an operation such as a
 matrix product can break it in the last ulp.
 
-``_as_int`` and ``_as_real`` are the package's one rule for scalar
-arguments: a finite ``numbers.Real`` (bool and numpy scalars included),
-integral for ``_as_int``, within the bounds the caller passes. Anything
-else raises ``ValueError`` naming the argument, the range and the value:
-the rule takes the range; cross-field checks stay with the caller.
+``_as_int``/``_as_real`` and ``_as_square``/``_as_sym`` are the package's one
+rule for scalar and matrix arguments. A scalar is a finite ``numbers.Real``
+(bool and numpy scalars included), integral for ``_as_int``, within the bounds
+the caller passes; a matrix is square, of the size ``p`` the caller passes,
+and for ``_as_sym`` finite and exactly symmetric. Anything else raises
+``ValueError`` naming the argument and its range and value, or its size and
+shape: the rule takes the range or size; cross-field checks stay with the caller.
 """
 
 import math
@@ -86,19 +88,20 @@ def _as_real(x, what, gt=None, ge=None, lt=None):
     raise ValueError(f"{what} must be a finite number{bound}, got {x!r}")
 
 
-def _as_square(m, op):
+def _as_square(m, what, p=None):
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{op}: expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or p not in (None, m.shape[0]):
+        size = "" if p is None else f" of size {p}"
+        raise ValueError(f"{what}: expected a square matrix{size}, got shape {m.shape}")
     return m
 
 
-def _as_sym(m, op):
-    m = _as_square(m, op)
+def _as_sym(m, what, p=None):
+    m = _as_square(m, what, p)
     if not np.all(np.isfinite(m)):
-        raise ValueError(f"{op}: matrix has non-finite entries")
+        raise ValueError(f"{what}: matrix has non-finite entries")
     if not np.array_equal(m, m.T):
-        raise ValueError(f"{op}: matrix is not exactly symmetric")
+        raise ValueError(f"{what}: matrix is not exactly symmetric")
     return m
 
 
@@ -143,7 +146,7 @@ def check_orthonormal(u, tol=1e-8, name="basis"):
     Parameters
     ----------
     u : (p, r) ndarray
-        Candidate basis, requires r <= p.
+        Candidate basis, requires 1 <= r <= p.
     tol : float
         Allowed deviation of ``u.T @ u`` from the identity, in max norm;
         finite and >= 0.
@@ -157,6 +160,8 @@ def check_orthonormal(u, tol=1e-8, name="basis"):
     if u.ndim != 2:
         raise ValueError(f"{name}: expected a 2-d array, got shape {u.shape}")
     p, r = u.shape
+    if r == 0:
+        raise ValueError(f"{name}: expected at least one column, got shape {u.shape}")
     if r > p:
         raise ValueError(f"{name}: more columns than rows ({r} > {p})")
     if not np.all(np.isfinite(u)):
@@ -211,7 +216,9 @@ def eig_sym(m):
 
 def _orient(vecs):
     """Flip columns in place so each one's largest |entry| (the first on ties)
-    is positive. Returns the mask of flipped columns."""
+    is positive. Returns the mask of flipped columns (none when there are no rows)."""
+    if not len(vecs):
+        return np.zeros(vecs.shape[1], dtype=bool)
     lead = np.argmax(np.abs(vecs), axis=0)
     flip = vecs[lead, np.arange(vecs.shape[1])] < 0.0
     vecs[:, flip] *= -1.0

@@ -15,7 +15,7 @@ from .matcore import (
     spectral_norm_sym,
     symmetrize,
 )
-from .solvers import Decomposition
+from .solvers import Decomposition, _diag_vector
 
 __all__ = [
     "SinThetaEvent",
@@ -91,9 +91,7 @@ def reliability_coefficient(L, sigma):
     positive denominator.
     """
     L = _as_sym(L, "reliability_coefficient: L")
-    sigma = _as_sym(sigma, "reliability_coefficient: sigma")
-    if L.shape != sigma.shape:
-        raise ValueError("reliability_coefficient: shape mismatch")
+    sigma = _as_sym(sigma, "reliability_coefficient: sigma", L.shape[0])
     den = float(np.sum(sigma))
     if den <= 0.0:
         raise ValueError(f"reliability_coefficient: e^T sigma e = {den} is not positive")
@@ -101,21 +99,19 @@ def reliability_coefficient(L, sigma):
 
 
 def _dec_pair(dec, op):
-    if isinstance(dec, Decomposition):
-        return dec.L, dec.D
     try:
-        L, D = dec
+        L, D = (dec.L, dec.D) if isinstance(dec, Decomposition) else dec
     except (TypeError, ValueError):
         raise ValueError(f"{op}: expected a Decomposition or an (L, D) pair") from None
-    return np.asarray(L, dtype=float), np.asarray(D, dtype=float)
+    return L, D
 
 
 def psi_residual(sigma, dec):
-    """Squared Frobenius residual ``||sigma - (L + D)||_F^2`` of a fit."""
+    """Squared Frobenius residual ``||sigma - (L + D)||_F^2`` of a fit, L symmetric, D diagonal."""
     sigma = _as_sym(sigma, "psi_residual")
     L, D = _dec_pair(dec, "psi_residual")
-    if L.shape != sigma.shape or D.shape != sigma.shape:
-        raise ValueError("psi_residual: shape mismatch")
+    L = _as_sym(L, "psi_residual: L", sigma.shape[0])
+    D = np.diag(_diag_vector(D, sigma.shape[0], "psi_residual: D"))
     return float(np.sum((sigma - L - D) ** 2))
 
 
@@ -196,9 +192,7 @@ def sin_theta_event(u, w, tau, lambda_r, rho):
         ``bound = 2 * noise_term / (1 - rho)``.
     """
     u = check_orthonormal(u, name="sin_theta_event: u")
-    w = _as_sym(w, "sin_theta_event: w")
-    if w.shape[0] != u.shape[0]:
-        raise ValueError("sin_theta_event: w shape does not match u")
+    w = _as_sym(w, "sin_theta_event: w", u.shape[0])
     tau = _as_real(tau, "sin_theta_event: tau", ge=0)
     lambda_r = _as_real(lambda_r, "sin_theta_event: lambda_r", gt=0)
     rho = _as_real(rho, "sin_theta_event: rho", gt=0, lt=1)

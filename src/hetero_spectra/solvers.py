@@ -37,7 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matcore import EigenSolverError, _as_int, _as_real, _as_sym, _fro, eig_sym, pdiag, poffdiag
+from .matcore import EigenSolverError, _as_int, _as_real, _as_square, _as_sym, _fro
+from .matcore import eig_sym, pdiag, poffdiag
 from .shrinkage import ProxSpec, _penalty, _prox_with_spectrum
 
 __all__ = [
@@ -150,11 +151,10 @@ def _diag_vector(d, p, name="d0"):
     Returns it as a length-p vector.
     """
     d = np.asarray(d, dtype=float)
-    if d.ndim == 1:
-        if d.shape[0] != p:
-            raise ValueError(f"{name}: expected length {p}, got {d.shape[0]}")
-    elif d.shape != (p, p):
-        raise ValueError(f"{name}: expected shape ({p}, {p}), got {d.shape}")
+    if d.ndim != 1:
+        d = _as_square(d, name, p)
+    elif d.shape[0] != p:
+        raise ValueError(f"{name}: expected length {p}, got {d.shape[0]}")
     if not np.all(np.isfinite(d)):
         raise ValueError(f"{name}: non-finite entries")
     if d.ndim == 2:
@@ -170,10 +170,8 @@ def objective_F(sigma, L, D, tau):
     ``L`` must be exactly symmetric and ``D`` diagonal.
     """
     sigma = _as_sym(sigma, "objective_F")
-    L = _as_sym(L, "objective_F: L")
+    L = _as_sym(L, "objective_F: L", sigma.shape[0])
     D = np.diag(_diag_vector(D, sigma.shape[0], "objective_F: D"))
-    if L.shape != sigma.shape:
-        raise ValueError("objective_F: L shape does not match sigma")
     tau = _as_real(tau, "objective_F: tau", ge=0)
     # the nuclear norm of the checked L, as nuclear_norm_sym computes it
     nuclear = float(np.sum(np.abs(np.linalg.eigvalsh(L))))
@@ -346,13 +344,13 @@ def soft_impute_diag(sigma, tau, stop=None, d0=None, keep_iterates=False):
     return alternating_solve(sigma, SOFT_METHODS["si"](tau), d0, stop, keep_iterates)
 
 
-def _fixed_budget(tag, sigma, prox, rounds, zero_start=False, keep_iterates=False):
+def _fixed_budget(tag, sigma, prox, rounds, zero_start=False, keep_iterates=False, p=None):
     """The fit ``tag``: ``rounds`` rounds of the loop, or to an exact fixed point.
 
-    Checks ``sigma`` (errors name ``tag``) and starts from ``D_0 = 0`` with
-    ``zero_start``, else from ``pdiag(sigma)``.
+    Checks ``sigma`` (errors name ``tag``; of size ``p``, where given) and
+    starts from ``D_0 = 0`` with ``zero_start``, else from ``pdiag(sigma)``.
     """
-    sigma = _as_sym(sigma, tag)
+    sigma = _as_sym(sigma, tag, p)
     p = sigma.shape[0]
     _as_int(prox.r, "rank", lo=1, hi=p)
     trace = SolverTrace(iterates=[] if keep_iterates else None)
@@ -383,10 +381,9 @@ def heteropca(sigma, r, t_max=_ROUNDS, g0=None, keep_iterates=False):
         ``iterates`` lists every ``L_t`` computed.
     """
     t_max = _as_int(t_max, "heteropca: t_max", lo=1)
-    if g0 is not None and _as_sym(sigma, "heteropca").shape != np.shape(g0):
-        raise ValueError("heteropca: g0 shape does not match sigma")
+    p = None if g0 is None else _as_sym(sigma, "heteropca").shape[0]
     base, op = (sigma, "heteropca") if g0 is None else (g0, "heteropca: g0")
-    dec, trace = _fixed_budget(op, base, ProxSpec.rank(r), t_max, g0 is not None, keep_iterates)
+    dec, trace = _fixed_budget(op, base, ProxSpec.rank(r), t_max, g0 is not None, keep_iterates, p)
     G = poffdiag(base) + pdiag(dec.L)
     if keep_iterates:
         return dec.L, G, trace.iterates

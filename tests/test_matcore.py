@@ -25,6 +25,8 @@ from hetero_spectra import (
     pca_baseline,
     pdiag,
     poffdiag,
+    psi_residual,
+    reliability_coefficient,
     rmtfa,
     run_experiment,
     sin_theta_event,
@@ -170,6 +172,12 @@ def test_eig_sym_rejects_bad_input():
         eig_sym(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         eig_sym(np.zeros((3, 2)))
+
+
+def test_eig_sym_accepts_the_empty_matrix():
+    # as nuclear_norm_sym, spectral_norm_sym and rmtfa do
+    dec = eig_sym(np.zeros((0, 0)))
+    assert dec.values.shape == (0,) and dec.vectors.shape == (0, 0)
 
 
 def test_eigen_solver_error_is_runtime_error():
@@ -383,3 +391,31 @@ def test_scalar_ranges(op, arg, call, rule, outside, inside):
     with pytest.raises(ValueError, match=re.escape(f"{arg} must be {rule}, got {outside!r}")):
         call(outside)
     call(inside)
+
+
+# ---------------------------------------------------------------- matrix sizes
+
+# (argument as its message names it, call on that argument, the size the
+# call gives it: the size of the sigma, L or u it is checked against)
+SIZED_ENTRY_POINTS = [
+    ("objective_F: L", lambda m: objective_F(_S3, m, np.ones(3), 0.5), 3),
+    ("objective_F: D", lambda m: objective_F(_S3, _S3, m, 0.5), 3),
+    ("d0", lambda m: alternating_solve(_S3, ProxSpec.rank(1), d0=m), 3),
+    ("heteropca: g0", lambda m: heteropca(_S3, 1, g0=m), 3),
+    ("reliability_coefficient: sigma", lambda m: reliability_coefficient(_S3, m), 3),
+    ("psi_residual: L", lambda m: psi_residual(_S3, (m, np.eye(3))), 3),
+    ("psi_residual: D", lambda m: psi_residual(_S3, (_S3, m)), 3),
+    ("sin_theta_event: w", lambda m: sin_theta_event(_U, m, 0, 1.0, 0.5), 4),
+]
+
+
+@pytest.mark.parametrize(
+    "arg, call, p", SIZED_ENTRY_POINTS, ids=[arg for arg, _, _ in SIZED_ENTRY_POINTS]
+)
+def test_matrix_sizes(arg, call, p):
+    # the first wrong size on either side, and a wrong column count
+    for shape in [(p - 1, p - 1), (p + 1, p + 1), (p, p + 1)]:
+        msg = re.escape(f"{arg}: expected a square matrix of size {p}, got shape {shape}")
+        with pytest.raises(ValueError, match=f"^{msg}$"):
+            call(np.eye(*shape))
+    call(np.eye(p))

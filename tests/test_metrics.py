@@ -1,10 +1,12 @@
 import decimal
 import math
+import re
 
 import numpy as np
 import pytest
 
 from hetero_spectra import (
+    check_orthonormal,
     coherence,
     extract_subspace,
     heywood_check,
@@ -127,6 +129,22 @@ def test_max_row_norm_is_sqrt_of_coherence():
     assert max_row_norm(u) == pytest.approx(math.sqrt(coherence(u)), abs=1e-12)
 
 
+_BASIS_READERS = {
+    "basis": check_orthonormal,
+    "sin_theta: u": lambda u: sin_theta(u, u),
+    "max_row_norm": max_row_norm,
+    "coherence": coherence,
+    "sin_theta_event: u": lambda u: sin_theta_event(u, np.zeros((3, 3)), 0.0, 1.0, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", list(_BASIS_READERS))
+def test_a_basis_with_no_columns_is_rejected_by_name(name):
+    msg = rf"^{re.escape(name)}: expected at least one column, got shape \(3, 0\)$"
+    with pytest.raises(ValueError, match=msg):
+        _BASIS_READERS[name](np.zeros((3, 0)))
+
+
 # ---------------------------------------------------------------- scalar diagnostics
 
 
@@ -186,7 +204,8 @@ def test_reliability_rejects_nonpositive_total():
 
 
 def test_reliability_rejects_shape_mismatch():
-    with pytest.raises(ValueError, match="^reliability_coefficient: shape mismatch$"):
+    msg = r"^reliability_coefficient: sigma: expected a square matrix of size 2, got shape \(3, 3\)$"
+    with pytest.raises(ValueError, match=msg):
         reliability_coefficient(np.eye(2), np.eye(3))
 
 
@@ -195,7 +214,10 @@ def test_reliability_rejects_shape_mismatch():
     [
         (5.0, r"^psi_residual: expected a Decomposition or an \(L, D\) pair$"),
         ((np.eye(3),) * 3, r"^psi_residual: expected a Decomposition or an \(L, D\) pair$"),
-        ((np.eye(2), np.eye(3)), "^psi_residual: shape mismatch$"),
+        (
+            (np.eye(2), np.eye(3)),
+            r"^psi_residual: L: expected a square matrix of size 3, got shape \(2, 2\)$",
+        ),
     ],
     ids=["scalar", "triple", "shape"],
 )
@@ -228,6 +250,32 @@ def test_psi_residual_solver_bound():
     tau = 0.4
     dec, _ = rmtfa(sigma, tau)
     assert psi_residual(sigma, dec) <= 4.0 * tau * nuclear_norm_sym(sigma) + 1e-10
+
+
+_NOT_A_FIT = [
+    ((np.full((3, 3), np.nan), np.eye(3)), "^psi_residual: L: matrix has non-finite entries$"),
+    ((np.triu(np.ones((3, 3))), np.eye(3)), "^psi_residual: L: matrix is not exactly symmetric$"),
+    (
+        (np.zeros((3, 3)), np.ones((3, 3))),
+        "^psi_residual: D: off-diagonal entries must be exactly zero$",
+    ),
+]
+
+
+@pytest.mark.parametrize("dec, match", _NOT_A_FIT, ids=["nan-L", "asymmetric-L", "full-D"])
+def test_psi_residual_rejects_what_objective_F_rejects(dec, match):
+    with pytest.raises(ValueError, match=match):
+        psi_residual(np.eye(3) + 0.1, dec)
+
+
+def test_psi_residual_takes_D_as_a_vector():
+    rng = np.random.default_rng(92)
+    a = rng.standard_normal((5, 5))
+    sigma = (a + a.T) / 2.0
+    b = rng.standard_normal((5, 2))
+    L = symmetrize(b @ b.T)
+    d = rng.uniform(0.5, 1.5, size=5)
+    assert psi_residual(sigma, (L, d)) == psi_residual(sigma, (L, np.diag(d)))
 
 
 def test_heywood_check():

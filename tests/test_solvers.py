@@ -583,7 +583,7 @@ def test_diagonal_shift_leaves_the_stop_test_as_it_was(fit, rounds, shift):
     "d0, match",
     [
         (np.ones(3), "^d0: expected length 4, got 3$"),
-        (np.ones((4, 3)), r"^d0: expected shape \(4, 4\), got \(4, 3\)$"),
+        (np.ones((4, 3)), r"^d0: expected a square matrix of size 4, got shape \(4, 3\)$"),
         (np.array([1.0, np.nan, 1.0, 1.0]), "^d0: non-finite entries$"),
     ],
     ids=["length", "shape", "non-finite"],
@@ -596,7 +596,8 @@ def test_alternating_solve_rejects_bad_d0(d0, match):
 
 def test_objective_rejects_low_rank_part_of_another_shape():
     sigma = random_corr(np.random.default_rng(69), 4)
-    with pytest.raises(ValueError, match="^objective_F: L shape does not match sigma$"):
+    msg = r"^objective_F: L: expected a square matrix of size 4, got shape \(3, 3\)$"
+    with pytest.raises(ValueError, match=msg):
         objective_F(sigma, np.zeros((3, 3)), np.ones(4), 0.5)
 
 
@@ -1174,9 +1175,9 @@ def test_each_matrix_argument_is_checked_once(entry, monkeypatch):
     checked = []
     real = matcore._as_sym
 
-    def counting(m, op):
+    def counting(m, op, p=None):
         checked.append(op)
-        return real(m, op)
+        return real(m, op, p)
 
     for module in (solvers, matcore, shrinkage):
         monkeypatch.setattr(module, "_as_sym", counting)
