@@ -315,10 +315,6 @@ def load_config(path):
     if not isinstance(vary, dict):
         raise ValueError(f"{path}: 'vary' must be an object with 'param' and 'values'")
     _check_keys(path, vary, _VARY_KEYS, _VARY_KEYS, "vary", "vary")
-    if not isinstance(vary["values"], list):
-        raise ValueError(f"{path}: vary.values must be a list")
-    if "methods" in raw and not isinstance(raw["methods"], list):
-        raise ValueError(f"{path}: methods must be a list of tags")
     kwargs = {key: value for key, value in raw.items() if key != "vary"}
     for name, key in _VARY_FIELDS.items():
         kwargs[name] = vary[key]

@@ -4,11 +4,13 @@ Everything here works on plain float ndarrays. Symmetry is treated as an
 exact (bitwise) property, use ``symmetrize`` when an operation such as a
 matrix product can break it in the last ulp.
 
-``_as_int``/``_as_real`` and ``_as_square``/``_as_sym`` are the package's one
-rule for scalar and matrix arguments. A scalar is a finite ``numbers.Real``
-(bool and numpy scalars included), integral for ``_as_int``, within the bounds
-the caller passes; a matrix is square, of the size ``p`` the caller passes,
-and for ``_as_sym`` finite and exactly symmetric. Anything else raises
+``_as_int``/``_as_real``, ``_as_square``/``_as_sym`` and ``_as_diag`` are the
+package's one rule for scalar, matrix and diagonal arguments. A scalar is a
+finite ``numbers.Real`` (bool and numpy scalars included), integral for
+``_as_int`` and ``_as_rank``, within the bounds the caller passes. A matrix is
+numeric, square, of the size ``p`` the caller passes, and for ``_as_sym`` finite
+and exactly symmetric; a diagonal is a finite length-p vector or a (p, p) matrix
+with exactly zero off-diagonal entries, returned as the vector. Anything else raises
 ``ValueError`` naming the argument and its range and value, or its size and
 shape: the rule takes the range or size; cross-field checks stay with the caller.
 """
@@ -88,8 +90,22 @@ def _as_real(x, what, gt=None, ge=None, lt=None):
     raise ValueError(f"{what} must be a finite number{bound}, got {x!r}")
 
 
+def _as_rank(r, p):
+    """``r`` as the rank of a fit to a p x p matrix, an integer in ``[1, p]``."""
+    if p == 0:
+        raise ValueError(f"rank {r!r}: the matrix is empty (0 x 0)")
+    return _as_int(r, "rank", lo=1, hi=p)
+
+
+def _as_array(m, what):
+    try:
+        return np.asarray(m, dtype=float)
+    except (TypeError, ValueError):  # a string, a ragged list, an object
+        raise ValueError(f"{what}: expected a numeric array, got {type(m).__name__}") from None
+
+
 def _as_square(m, what, p=None):
-    m = np.asarray(m, dtype=float)
+    m = _as_array(m, what)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or p not in (None, m.shape[0]):
         size = "" if p is None else f" of size {p}"
         raise ValueError(f"{what}: expected a square matrix{size}, got shape {m.shape}")
@@ -103,6 +119,22 @@ def _as_sym(m, what, p=None):
     if not np.array_equal(m, m.T):
         raise ValueError(f"{what}: matrix is not exactly symmetric")
     return m
+
+
+def _as_diag(d, what, p):
+    """A diagonal, as a length-p vector or a (p, p) diagonal matrix, as a finite vector."""
+    d = _as_array(d, what)
+    if d.ndim != 1:
+        d = _as_square(d, what, p)
+    elif d.shape[0] != p:
+        raise ValueError(f"{what}: expected length {p}, got {d.shape[0]}")
+    if not np.all(np.isfinite(d)):
+        raise ValueError(f"{what}: non-finite entries")
+    if d.ndim == 2:
+        if np.any(poffdiag(d) != 0.0):
+            raise ValueError(f"{what}: off-diagonal entries must be exactly zero")
+        d = np.diagonal(d)
+    return d
 
 
 def _fro(x):
@@ -156,7 +188,7 @@ def check_orthonormal(u, tol=1e-8, name="basis"):
     (p, r) float ndarray.
     """
     tol = _as_real(tol, f"{name}: tol", ge=0)
-    u = np.asarray(u, dtype=float)
+    u = _as_array(u, name)
     if u.ndim != 2:
         raise ValueError(f"{name}: expected a 2-d array, got shape {u.shape}")
     p, r = u.shape
@@ -172,6 +204,17 @@ def check_orthonormal(u, tol=1e-8, name="basis"):
     return u
 
 
+def _eigensolve(solver, m, op):
+    """``solver(m)``, with a solver that does not converge as ``EigenSolverError`` naming ``op``.
+
+    ``solver`` is ``np.linalg.eigh`` or ``eigvalsh``, which the caller looks up at call time.
+    """
+    try:
+        return solver(m)
+    except np.linalg.LinAlgError as exc:
+        raise EigenSolverError(f"{op}: solver did not converge ({exc})") from None
+
+
 def _spectrum(m):
     """Eigenvalues of ``m`` descending (stable on ties) and their eigenvectors.
 
@@ -179,10 +222,7 @@ def _spectrum(m):
     exactly symmetric. This is the eigensolve of the solvers' inner loops,
     whose rebuild ``(V * w) @ V.T`` does not depend on column signs.
     """
-    try:
-        vals, vecs = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolverError(f"eig_sym: solver did not converge ({exc})") from None
+    vals, vecs = _eigensolve(np.linalg.eigh, m, "eig_sym")
     order = (-vals).argsort(kind="stable")
     return vals[order], vecs[:, order]
 
@@ -228,10 +268,10 @@ def _orient(vecs):
 def nuclear_norm_sym(m):
     """Nuclear norm of a symmetric matrix, the sum of |eigenvalues|."""
     m = _as_sym(m, "nuclear_norm_sym")
-    return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
+    return float(np.sum(np.abs(_eigensolve(np.linalg.eigvalsh, m, "nuclear_norm_sym"))))
 
 
 def spectral_norm_sym(m):
     """Spectral norm of a symmetric matrix, the largest |eigenvalue|."""
     m = _as_sym(m, "spectral_norm_sym")
-    return float(np.abs(np.linalg.eigvalsh(m)).max(initial=0.0))
+    return float(np.abs(_eigensolve(np.linalg.eigvalsh, m, "spectral_norm_sym")).max(initial=0.0))

@@ -5,17 +5,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import (
-    _as_int,
-    _as_real,
-    _as_square,
-    _as_sym,
-    check_orthonormal,
-    poffdiag,
-    spectral_norm_sym,
-    symmetrize,
-)
-from .solvers import Decomposition, _diag_vector
+from .matcore import _as_int, _as_real, _as_sym, check_orthonormal, poffdiag, spectral_norm_sym
+from .matcore import symmetrize
+from .solvers import _as_fit
 
 __all__ = [
     "SinThetaEvent",
@@ -98,29 +90,16 @@ def reliability_coefficient(L, sigma):
     return float(np.sum(L)) / den
 
 
-def _dec_pair(dec, op):
-    try:
-        L, D = (dec.L, dec.D) if isinstance(dec, Decomposition) else dec
-    except (TypeError, ValueError):
-        raise ValueError(f"{op}: expected a Decomposition or an (L, D) pair") from None
-    return L, D
-
-
 def psi_residual(sigma, dec):
     """Squared Frobenius residual ``||sigma - (L + D)||_F^2`` of a fit, L symmetric, D diagonal."""
     sigma = _as_sym(sigma, "psi_residual")
-    L, D = _dec_pair(dec, "psi_residual")
-    L = _as_sym(L, "psi_residual: L", sigma.shape[0])
-    D = np.diag(_diag_vector(D, sigma.shape[0], "psi_residual: D"))
-    return float(np.sum((sigma - L - D) ** 2))
+    L, d = _as_fit(dec, "psi_residual", sigma.shape[0])
+    return float(np.sum((sigma - L - np.diag(d)) ** 2))
 
 
 def heywood_check(dec):
     """True when the fitted diagonal has an entry <= 0 (an improper solution)."""
-    _, D = _dec_pair(dec, "heywood_check")
-    d = np.diagonal(_as_square(D, "heywood_check: D"))
-    if not np.isfinite(d).all():
-        raise ValueError("heywood_check: D has non-finite diagonal entries")
+    _, d = _as_fit(dec, "heywood_check")
     return bool((d <= 0.0).any())
 
 

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 # eig_sym stays importable here: perfbench/tracer.py patches this attribute
-from .matcore import _as_int, _as_real, _as_sym, _fro, _spectrum, eig_sym  # noqa: F401
+from .matcore import _as_int, _as_rank, _as_real, _as_sym, _fro, _spectrum, eig_sym  # noqa: F401
 
 __all__ = [
     "ProxSpec",
@@ -125,7 +125,7 @@ def _penalty(spec, kept):
 def _apply(spec, m, op):
     m = _as_sym(m, op)
     if spec.r is not None:
-        _as_int(spec.r, "rank", lo=1, hi=m.shape[0])
+        _as_rank(spec.r, m.shape[0])
     return _prox_with_spectrum(spec, m)[0]
 
 

@@ -10,6 +10,7 @@ planted one. Everything is driven by one PCG64 stream per replicate so a
 import os
 import time
 import warnings
+from collections.abc import Iterable, Mapping, Set
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,14 +121,9 @@ class ResultRow:
 
 
 def _as_tuple(x, field, items):
-    """``x`` as a tuple, if it is an iterable other than a string."""
-    if not isinstance(x, (str, bytes)):
-        try:
-            it = iter(x)
-        except TypeError:
-            pass
-        else:
-            return tuple(it)
+    """``x`` as a tuple, if it is an ordered iterable: not a string, a mapping or a set."""
+    if isinstance(x, Iterable) and not isinstance(x, (str, bytes, Mapping, Set)):
+        return tuple(x)
     raise ValueError(f"ExperimentConfig: {field} takes a sequence of {items}, not {x!r}")
 
 

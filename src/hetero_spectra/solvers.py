@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matcore import EigenSolverError, _as_int, _as_real, _as_square, _as_sym, _fro
+from .matcore import _as_diag, _as_int, _as_rank, _as_real, _as_sym, _eigensolve, _fro
 from .matcore import eig_sym, pdiag, poffdiag
 from .shrinkage import ProxSpec, _penalty, _prox_with_spectrum
 
@@ -145,23 +145,15 @@ class Decomposition:
     iterations: int
 
 
-def _diag_vector(d, p, name="d0"):
-    """Validate a diagonal given as a length-p vector or a (p, p) diagonal matrix.
-
-    Returns it as a length-p vector.
-    """
-    d = np.asarray(d, dtype=float)
-    if d.ndim != 1:
-        d = _as_square(d, name, p)
-    elif d.shape[0] != p:
-        raise ValueError(f"{name}: expected length {p}, got {d.shape[0]}")
-    if not np.all(np.isfinite(d)):
-        raise ValueError(f"{name}: non-finite entries")
-    if d.ndim == 2:
-        if np.any(poffdiag(d) != 0.0):
-            raise ValueError(f"{name}: off-diagonal entries must be exactly zero")
-        d = np.diagonal(d)
-    return d
+def _as_fit(dec, what, p=None):
+    """``(L, d)`` of a ``Decomposition`` or an ``(L, D)`` pair: ``L`` by ``_as_sym`` at size
+    ``p`` (at its own without one), ``D`` by ``_as_diag`` at L's size; errors name ``what``."""
+    try:
+        L, D = (dec.L, dec.D) if isinstance(dec, Decomposition) else dec
+    except (TypeError, ValueError):
+        raise ValueError(f"{what}: expected a Decomposition or an (L, D) pair") from None
+    L = _as_sym(L, f"{what}: L", p)
+    return L, _as_diag(D, f"{what}: D", L.shape[0])
 
 
 def objective_F(sigma, L, D, tau):
@@ -170,12 +162,11 @@ def objective_F(sigma, L, D, tau):
     ``L`` must be exactly symmetric and ``D`` diagonal.
     """
     sigma = _as_sym(sigma, "objective_F")
-    L = _as_sym(L, "objective_F: L", sigma.shape[0])
-    D = np.diag(_diag_vector(D, sigma.shape[0], "objective_F: D"))
+    L, d = _as_fit((L, D), "objective_F", sigma.shape[0])
     tau = _as_real(tau, "objective_F: tau", ge=0)
     # the nuclear norm of the checked L, as nuclear_norm_sym computes it
-    nuclear = float(np.sum(np.abs(np.linalg.eigvalsh(L))))
-    return tau * nuclear + 0.5 * float(np.sum((sigma - L - D) ** 2))
+    nuclear = float(np.sum(np.abs(_eigensolve(np.linalg.eigvalsh, L, "objective_F"))))
+    return tau * nuclear + 0.5 * float(np.sum((sigma - L - np.diag(d)) ** 2))
 
 
 def alternating_solve(sigma, prox, d0=None, stop=None, keep_iterates=False):
@@ -230,8 +221,8 @@ def alternating_solve(sigma, prox, d0=None, stop=None, keep_iterates=False):
         raise ValueError("alternating_solve: stop must be a StopRule")
     p = sigma.shape[0]
     if prox.r is not None:
-        _as_int(prox.r, "rank", lo=1, hi=p)
-    d = np.diagonal(sigma) if d0 is None else _diag_vector(d0, p)
+        _as_rank(prox.r, p)
+    d = np.diagonal(sigma) if d0 is None else _as_diag(d0, "d0", p)
     trace = SolverTrace(iterates=[] if keep_iterates else None)
     L, d = _run("alternating_solve", sigma, prox, d, stop.rel_tol, stop.max_iter, trace)
     method = _METHOD_BY_KIND[prox.kind]
@@ -352,7 +343,7 @@ def _fixed_budget(tag, sigma, prox, rounds, zero_start=False, keep_iterates=Fals
     """
     sigma = _as_sym(sigma, tag, p)
     p = sigma.shape[0]
-    _as_int(prox.r, "rank", lo=1, hi=p)
+    _as_rank(prox.r, p)
     trace = SolverTrace(iterates=[] if keep_iterates else None)
     d = np.zeros(p) if zero_start else np.diagonal(sigma)
     L, d = _run(tag, sigma, prox, d, 0.0, rounds, trace)
@@ -398,16 +389,14 @@ def _deflated_run(sigma, r, rounds):
     stage's first residual follows the ``L_0 = 0`` rule.
     """
     sigma = _as_sym(sigma, "deflated_heteropca")
-    r = _as_int(r, "rank", lo=1, hi=sigma.shape[0])
+    r = _as_rank(r, sigma.shape[0])
     trace = SolverTrace()
     d = np.diagonal(sigma)
     r_prev = 0
     stage_ranks = []
     while r_prev < r:
-        try:
-            svals = np.sort(np.abs(np.linalg.eigvalsh(sigma - np.diag(d))))[::-1]
-        except np.linalg.LinAlgError as exc:
-            raise EigenSolverError(f"deflated_heteropca: solver did not converge ({exc})") from None
+        g = sigma - np.diag(d)
+        svals = np.sort(np.abs(_eigensolve(np.linalg.eigvalsh, g, "deflated_heteropca")))[::-1]
         svals = np.append(svals, 0.0)  # sigma_{p+1} := 0
         top = svals[r_prev]
         r_k = r  # sup of an empty candidate set
@@ -506,7 +495,7 @@ def numerical_rank_sym(m, rel_cutoff=1e-8):
     """Count of eigenvalues above ``rel_cutoff`` times the largest magnitude."""
     m = _as_sym(m, "numerical_rank_sym")
     rel_cutoff = _as_real(rel_cutoff, "numerical_rank_sym: rel_cutoff", ge=0, lt=1)
-    return _numerical_rank(np.linalg.eigvalsh(m), rel_cutoff)
+    return _numerical_rank(_eigensolve(np.linalg.eigvalsh, m, "numerical_rank_sym"), rel_cutoff)
 
 
 def extract_subspace(x, r, return_info=False):
@@ -529,7 +518,7 @@ def extract_subspace(x, r, return_info=False):
     (p, r) ndarray, or ``(basis, deficient)`` with ``return_info=True``.
     """
     vals, vecs = eig_sym(x.L if isinstance(x, Decomposition) else x)
-    r = _as_int(r, "rank", lo=1, hi=vals.size)
+    r = _as_rank(r, vals.size)
     if not return_info:
         return vecs[:, :r]
     return vecs[:, :r], _numerical_rank(vals) < r

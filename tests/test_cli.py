@@ -1140,18 +1140,6 @@ _BAD_INPUTS = {
         2,
         "'vary' must be an object with 'param' and 'values'",
     ),
-    "config-values-not-list": (
-        _SIMULATE,
-        json.dumps(minimal_config(vary={"param": "omega", "values": 1.0})),
-        2,
-        "vary.values must be a list",
-    ),
-    "config-methods-not-list": (
-        _SIMULATE,
-        json.dumps(minimal_config(methods="svd")),
-        2,
-        "methods must be a list of tags",
-    ),
     "results-no-header": (_PLOT, "# hetero-spectra results v1\n\n", 1, "missing header line"),
     "results-field-count": (_PLOT, _RESULTS_HEAD + "svd,omega,1\n", 1, "row 2 has 3 fields"),
     "results-bad-value": (
@@ -1170,4 +1158,32 @@ def test_bad_input_file_exits_with_one_error_line(tmp_path, capsys, case):
     out = tmp_path / "out"
     assert main([*command, path, "--out", str(out)]) == code
     assert capsys.readouterr().err.splitlines() == [f"error: {path}: {message}"]
+    assert not out.exists()
+
+
+# (config, message after "error: ExperimentConfig: "): a sequence field that
+# is not an ordered sequence is the config's to reject, with exit 2
+_BAD_SEQUENCES = {
+    "config-values-not-list": (
+        minimal_config(vary={"param": "omega", "values": 1.0}),
+        "vary_values takes a sequence of values, not 1.0",
+    ),
+    "config-values-object": (
+        minimal_config(vary={"param": "omega", "values": {"3.0": 1}}),
+        "vary_values takes a sequence of values, not {'3.0': 1}",
+    ),
+    "config-methods-not-list": (
+        minimal_config(methods="svd"),
+        "methods takes a sequence of tags, not 'svd'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_SEQUENCES))
+def test_config_sequence_fields_exit_2(tmp_path, capsys, case):
+    config, message = _BAD_SEQUENCES[case]
+    path = write(tmp_path / "cfg.json", json.dumps(config))
+    out = tmp_path / "out"
+    assert main([*_SIMULATE, path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: ExperimentConfig: {message}"]
     assert not out.exists()

@@ -14,10 +14,13 @@ from hetero_spectra import (
     apply_prox,
     check_orthonormal,
     deflated_heteropca,
+    diag_deleted_pca,
     eig_sym,
+    extract_subspace,
     gen_masked,
     heteropca,
     heteropca_psd,
+    heywood_check,
     ledermann_bound,
     nuclear_norm_sym,
     numerical_rank_sym,
@@ -419,3 +422,153 @@ def test_matrix_sizes(arg, call, p):
         with pytest.raises(ValueError, match=f"^{msg}$"):
             call(np.eye(*shape))
     call(np.eye(p))
+
+
+# an empty matrix has no rank-r part for any r, and the rank rule says so
+EMPTY_RANK_FITS = {
+    "apply_prox": lambda m: apply_prox(ProxSpec.rank(1), m),
+    "alternating_solve": lambda m: alternating_solve(m, ProxSpec.rank(1)),
+    "heteropca": lambda m: heteropca(m, 1),
+    "heteropca(g0)": lambda m: heteropca(m, 1, g0=m),
+    "heteropca_psd": lambda m: heteropca_psd(m, 1),
+    "deflated_heteropca": lambda m: deflated_heteropca(m, 1),
+    "diag_deleted_pca": lambda m: diag_deleted_pca(m, 1),
+    "pca_baseline": lambda m: pca_baseline(m, 1),
+    "extract_subspace": lambda m: extract_subspace(m, 1),
+}
+
+
+@pytest.mark.parametrize("op", list(EMPTY_RANK_FITS))
+def test_rank_fits_name_the_empty_matrix(op):
+    with pytest.raises(ValueError, match=r"^rank 1: the matrix is empty \(0 x 0\)$"):
+        EMPTY_RANK_FITS[op](np.zeros((0, 0)))
+
+
+def test_fits_without_a_rank_accept_the_empty_matrix():
+    z = np.zeros((0, 0))
+    assert rmtfa(z, 1.0)[0].L.shape == (0, 0)
+    assert eig_sym(z).values.shape == (0,)
+    assert nuclear_norm_sym(z) == spectral_norm_sym(z) == 0.0
+
+
+# (argument as its message names it, call on that argument)
+NUMERIC_ENTRY_POINTS = [
+    ("alternating_solve", lambda m: rmtfa(m, 1.0)),
+    ("eig_sym", eig_sym),
+    ("pdiag", pdiag),
+    ("basis", check_orthonormal),
+    ("d0", lambda m: rmtfa(_S3, 1.0, d0=m)),
+    ("objective_F: D", lambda m: objective_F(_S3, _S3, m, 0.5)),
+]
+
+
+@pytest.mark.parametrize(
+    "bad", ["ab", object(), [[1.0, 2.0], [3.0]]], ids=["str", "object", "ragged"]
+)
+@pytest.mark.parametrize(
+    "arg, call", NUMERIC_ENTRY_POINTS, ids=[arg for arg, _ in NUMERIC_ENTRY_POINTS]
+)
+def test_matrix_arguments_name_a_non_numeric_input(arg, call, bad):
+    msg = re.escape(f"{arg}: expected a numeric array, got {type(bad).__name__}")
+    with pytest.raises(ValueError, match=f"^{msg}$"):
+        call(bad)
+
+
+# (entry point as its error names it, call on a valid matrix); each solves
+# its eigenvalues with np.linalg.eigvalsh
+EIGVALSH_ENTRY_POINTS = [
+    ("objective_F", lambda m: objective_F(m, m, np.zeros(3), 0.5)),
+    ("numerical_rank_sym", numerical_rank_sym),
+    ("nuclear_norm_sym", nuclear_norm_sym),
+    ("spectral_norm_sym", spectral_norm_sym),
+    ("deflated_heteropca", lambda m: deflated_heteropca(m, 1)),
+]
+
+
+@pytest.mark.parametrize(
+    "op, call", EIGVALSH_ENTRY_POINTS, ids=[op for op, _ in EIGVALSH_ENTRY_POINTS]
+)
+def test_eigvalsh_failure_is_an_eigen_solver_error(op, call, monkeypatch):
+    # np.linalg.LinAlgError is a ValueError, which the command line reports
+    # as a bad argument (exit 2), not as a solver failure (exit 4)
+    def failing(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    with pytest.raises(EigenSolverError, match=f"^{op}: solver did not converge"):
+        call(_S3)
+
+
+# ---------------------------------------------------------------- fitted pairs
+
+_L3 = symmetrize(np.outer([1.0, 2.0, 0.5], [1.0, 2.0, 0.5]))
+
+# (entry point, call on a fit given as L and D, scored against _S3 where the
+# entry point takes a sigma)
+FIT_READERS = [
+    ("objective_F", lambda L, D: objective_F(_S3, L, D, 0.5)),
+    ("psi_residual", lambda L, D: psi_residual(_S3, (L, D))),
+    ("heywood_check", lambda L, D: heywood_check((L, D))),
+]
+_READER_IDS = [op for op, _ in FIT_READERS]
+
+# (case, L, D, the argument the message names and what it says of it)
+BAD_FITS = [
+    ("L-size", np.eye(2), np.eye(3), "L: expected a square matrix of size 3, got shape (2, 2)"),
+    ("L-nan", np.full((3, 3), np.nan), np.ones(3), "L: matrix has non-finite entries"),
+    ("L-asymmetric", np.triu(np.ones((3, 3))), np.ones(3), "L: matrix is not exactly symmetric"),
+    ("L-text", "ab", np.ones(3), "L: expected a numeric array, got str"),
+    (
+        "L-3-tuple",
+        (1.0, 2.0, 3.0),
+        np.ones(3),
+        "L: expected a square matrix of size 3, got shape (3,)",
+    ),
+    ("D-size", _L3, np.eye(2), "D: expected a square matrix of size 3, got shape (2, 2)"),
+    ("D-length", _L3, np.ones(4), "D: expected length 3, got 4"),
+    ("D-full", _L3, np.ones((3, 3)), "D: off-diagonal entries must be exactly zero"),
+    ("D-nan", _L3, np.diag([1.0, np.nan, 1.0]), "D: non-finite entries"),
+    ("D-text", _L3, "ab", "D: expected a numeric array, got str"),
+]
+
+# heywood_check takes no sigma, so there L sets the size that D must match
+_WITHOUT_SIGMA = {
+    "L-size": "D: expected a square matrix of size 2, got shape (3, 3)",
+    "L-3-tuple": "L: expected a square matrix, got shape (3,)",
+}
+
+
+@pytest.mark.parametrize(
+    "case, L, D, named", BAD_FITS, ids=[case for case, _, _, _ in BAD_FITS]
+)
+@pytest.mark.parametrize("op, call", FIT_READERS, ids=_READER_IDS)
+def test_fit_pairs(op, call, case, L, D, named):
+    if op == "heywood_check":
+        named = _WITHOUT_SIGMA.get(case, named)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{op}: {named}')}$"):
+        call(L, D)
+
+
+@pytest.mark.parametrize("d", [[0.5, 1.0, 2.0], [0.5, -0.25, 2.0]], ids=["proper", "heywood"])
+@pytest.mark.parametrize("op, call", FIT_READERS, ids=_READER_IDS)
+def test_fit_pairs_take_D_as_a_vector(op, call, d):
+    d = np.array(d)
+    assert call(_L3, d) == call(_L3, np.diag(d))
+
+
+# a whole fit that is not a pair: the string unpacks into two texts
+NOT_PAIRS = [
+    ("scalar", 5.0, "expected a Decomposition or an (L, D) pair"),
+    ("3-tuple", (_L3, np.ones(3), np.ones(3)), "expected a Decomposition or an (L, D) pair"),
+    ("text", "ab", "L: expected a numeric array, got str"),
+]
+
+
+@pytest.mark.parametrize("case, dec, named", NOT_PAIRS, ids=[case for case, _, _ in NOT_PAIRS])
+@pytest.mark.parametrize(
+    "op, call",
+    [("psi_residual", lambda dec: psi_residual(_S3, dec)), ("heywood_check", heywood_check)],
+)
+def test_fit_pairs_reject_what_is_not_a_pair(op, call, case, dec, named):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{op}: {named}')}$"):
+        call(dec)

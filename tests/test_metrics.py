@@ -288,10 +288,13 @@ def test_heywood_check():
 @pytest.mark.parametrize(
     "D, match",
     [
-        (np.diag([1.0, np.nan]), "^heywood_check: D has non-finite diagonal entries$"),
-        (np.diag([np.inf, 1.0]), "^heywood_check: D has non-finite diagonal entries$"),
-        (np.array([1.0, 2.0]), r"^heywood_check: D: expected a square matrix, got shape \(2,\)$"),
-        (np.ones((2, 3)), r"^heywood_check: D: expected a square matrix, got shape \(2, 3\)$"),
+        (np.diag([1.0, np.nan]), "^heywood_check: D: non-finite entries$"),
+        (np.diag([np.inf, 1.0]), "^heywood_check: D: non-finite entries$"),
+        (np.array([1.0, 2.0, 3.0]), "^heywood_check: D: expected length 2, got 3$"),
+        (
+            np.ones((2, 3)),
+            r"^heywood_check: D: expected a square matrix of size 2, got shape \(2, 3\)$",
+        ),
     ],
     ids=["nan", "inf", "1-d", "non-square"],
 )

@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import os
+import re
 
 import numpy as np
 import pytest
@@ -216,12 +217,16 @@ def test_config_methods_string_is_not_read_as_tags():
         ("vary_values", "12", "vary_values takes a sequence of values, not '12'"),
         ("vary_values", 5, "vary_values takes a sequence of values, not 5"),
         ("methods", 5, "methods takes a sequence of tags, not 5"),
+        # a mapping would give its keys, a set its hash order
+        ("vary_values", {3.0: "x"}, "vary_values takes a sequence of values, not {3.0: 'x'}"),
+        ("vary_values", {3.0}, "vary_values takes a sequence of values, not {3.0}"),
+        ("methods", frozenset({"svd"}), "methods takes a sequence of tags, not frozenset({'svd'})"),
     ],
     ids=repr,
 )
 def test_config_sequence_fields_reject_strings_and_scalars(field, value, match):
     kw = dict(n=20, p=8, r=2, vary_param="kappa", vary_values=(2.0,), methods=("svd",))
-    with pytest.raises(ValueError, match=f"^ExperimentConfig: {match}$"):
+    with pytest.raises(ValueError, match=f"^ExperimentConfig: {re.escape(match)}$"):
         ExperimentConfig(**{**kw, field: value})
 
 
