@@ -25,6 +25,7 @@ import numpy as np
 
 from .matcore import EigenSolverError, _fro, symmetrize
 from .metrics import heywood_check
+from . import solvers
 from .shrinkage import apply_prox
 from .simlab import ExperimentConfig, ResultRow, _WorkerDied, run_experiment
 from .solvers import METHOD_TAGS, METHODS, SOFT_METHODS, _numerical_rank
@@ -352,8 +353,15 @@ def cmd_solve(args):
         "stop_reason": trace.stop_reason,
     }
     if soft:
-        # an independent check of the returned pair, with one full eigensolve
-        refit = apply_prox(SOFT_METHODS[method](param), sigma - dec.D)
+        # a check of the returned pair, prox(sigma - D): the certified partial
+        # step from the fit's last basis where it handed one out, else a full
+        # eigensolve. The step is looked up on solvers, where
+        # perfbench/tracer.py times it as the shrinkage layer's
+        spec = SOFT_METHODS[method](param)
+        if trace.warm is None:
+            refit = apply_prox(spec, sigma - dec.D)
+        else:
+            refit = solvers._prox_with_spectrum(spec, sigma - dec.D, trace.warm)[0]
         summary["fixed_point_residual"] = _fro(dec.L - refit)
         del refit  # not held through the writes below
     # strict JSON, built before any file is written: a failure leaves no outputs

@@ -126,15 +126,17 @@ def _as_diag(d, what, p):
     d = _as_array(d, what)
     if d.ndim != 1:
         d = _as_square(d, what, p)
+        diag = np.diagonal(d)
+        # one pass over the matrix: a nonzero or NaN entry off the diagonal adds to its count
+        if np.isfinite(diag).all() and np.count_nonzero(d) == np.count_nonzero(diag):
+            return diag
     elif d.shape[0] != p:
         raise ValueError(f"{what}: expected length {p}, got {d.shape[0]}")
+    elif np.isfinite(d).all():
+        return d
     if not np.all(np.isfinite(d)):
         raise ValueError(f"{what}: non-finite entries")
-    if d.ndim == 2:
-        if np.any(poffdiag(d) != 0.0):
-            raise ValueError(f"{what}: off-diagonal entries must be exactly zero")
-        d = np.diagonal(d)
-    return d
+    raise ValueError(f"{what}: off-diagonal entries must be exactly zero")
 
 
 def _fro(x):

@@ -14,7 +14,13 @@ iteration after checking once at entry.
 
 At large p the ``psd_soft`` kind keeps few eigenpairs, so the dispatch can
 take a certified partial-spectrum step (``_psd_soft_partial``) instead of
-the full eigensolve, warm-started from the previous step's eigenvectors.
+the full eigensolve: on round 1 from a fixed-seed Gaussian block
+(``_seeded_basis``), then warm-started from the previous step's
+eigenvectors. A step is certified by the first of an eigenvalue bound
+carried from an earlier step (no factorization), a Cholesky test at a
+margin shift, and the Cholesky test at ``tau - delta``; it falls back to
+the full eigensolve when none holds. So a large-p ``rmtfa`` fit makes one
+full eigensolve, the last round's re-certification.
 """
 
 import math
@@ -177,58 +183,111 @@ _PARTIAL_STEPS = 10
 # kept Ritz residual allowed, and the margin by which every eigenvalue must
 # clear tau, both relative to ||m||_F
 _PARTIAL_TOL = 1e-13
+# round 1's start: a Gaussian block of this many columns from a fixed seed,
+# and the steps it may take (it has no rate give-up)
+_SEEDED_COLS = 2 * _OVERSAMPLE
+_SEEDED_STEPS = 20
+_SEED = 20240607
+# the error allowed on an eigenvalue from a full eigh, relative to p eps ||m||_F
+_EIGH_ERR = 8.0 * np.finfo(float).eps
+
+
+class _Ref(NamedTuple):
+    """A certified bound ``lambda_{k+1}(m_ref) <= beta``, with ``diag`` the diagonal of m_ref.
+
+    The solvers change only the diagonal of ``m``, so by Weyl's inequality
+    ``lambda_{k+1}(m) <= beta + max(diag(m) - diag)`` for every later ``m``.
+    """
+
+    k: int
+    beta: float
+    diag: np.ndarray
+
+
+class _Warm(NamedTuple):
+    """The start of a partial step.
+
+    ``vecs`` is the block to start from: orthonormal, or with ``seeded`` a
+    Gaussian block (round 1's), which gets its own step budget and no rate
+    give-up. ``ref`` is the reference carried from the step that handed the
+    block out, or None.
+    """
+
+    vecs: np.ndarray
+    ref: _Ref | None = None
+    seeded: bool = False
 
 
 class _Step(NamedTuple):
     """How a low-rank step was taken, and the warm start for the next one.
 
     ``partial`` is true when the output came from the certified
-    partial-spectrum step. ``basis`` is the orthonormal block the next
-    ``psd_soft`` step may start from, or None when that step must run the
-    full eigensolve.
+    partial-spectrum step. ``basis`` is the :class:`_Warm` start the next
+    ``psd_soft`` step may take, or None when that step must run the full
+    eigensolve.
     """
 
     partial: bool
-    basis: np.ndarray | None
+    basis: _Warm | None
 
 
-def _warm_basis(vecs, kept):
-    """Leading ``kept + _OVERSAMPLE`` columns of ``vecs`` when the gate admits them."""
+def _warm_basis(vecs, kept, ref):
+    """The next step's start when the gate admits it: the leading ``kept + _OVERSAMPLE``
+    columns of ``vecs``, with the reference ``ref()`` (made only then)."""
     p = vecs.shape[0]
     b = kept + _OVERSAMPLE
     if p < _PARTIAL_MIN_P or 8 * b > p or b > vecs.shape[1]:
         return None
-    return np.ascontiguousarray(vecs[:, :b])
+    return _Warm(np.ascontiguousarray(vecs[:, :b]), ref())
+
+
+def _seeded_basis(spec, p):
+    """Round 1's start: a fixed-seed Gaussian block for ``psd_soft`` at p >= _PARTIAL_MIN_P."""
+    if spec.kind != "psd_soft" or p < _PARTIAL_MIN_P:
+        return None
+    return _Warm(np.random.default_rng(_SEED).standard_normal((p, _SEEDED_COLS)), seeded=True)
 
 
 def _psd_soft_partial(m, tau, basis):
     """The ``psd_soft`` prox from a few eigenpairs, or None when it cannot be certified.
 
-    Block subspace iteration with Rayleigh-Ritz, started from ``basis``.
-    Let ``Y`` hold the Ritz vectors whose Ritz values ``theta`` exceed tau
-    and ``P = I - Y Y^T``. The step is accepted only when
+    Block subspace iteration with Rayleigh-Ritz, started from the
+    :class:`_Warm` ``basis``. Let ``Y`` hold the ``k`` Ritz vectors whose
+    Ritz values ``theta`` exceed tau, ``P = I - Y Y^T`` and
+    ``delta = _PARTIAL_TOL * ||m||_F``. The step needs the kept residual
+    ``R = m Y - Y diag(theta)`` to reach ``||R||_F <= delta`` and no kept
+    Ritz value within ``delta`` of tau. Then ``m' = Y diag(theta) Y^T + P m P``
+    is within ``sqrt(2) ||R||_F`` of ``m``. When also ``lambda_max(P m P) <
+    tau - delta``, the prox of ``m'`` is the Ritz rebuild, so the output is
+    within that distance of the full-eigensolve prox (the prox is
+    1-Lipschitz). That last test is certified by the first of
 
-    - the kept residual ``R = m Y - Y diag(theta)`` has
-      ``||R||_F <= _PARTIAL_TOL * ||m||_F``, and
-    - ``(tau - delta) I - P m P`` has a Cholesky factor, with
-      ``delta = _PARTIAL_TOL * ||m||_F``, so every eigenvalue of ``m`` off
-      ``span(Y)`` lies below tau by a margin,
+    - the bound: ``basis.ref`` has ``ref.k <= k``, and
+      ``b = ref.beta + max(diag(m) - ref.diag)`` has
+      ``b + sqrt(2) delta < tau - delta``. Weyl's inequality gives
+      ``lambda_{ref.k+1}(m) <= b``, so at most ``ref.k`` eigenvalues of
+      ``m'`` exceed ``b + sqrt(2) delta``. The ``k >= ref.k`` kept Ritz
+      values are eigenvalues of ``m'`` above tau, so there are exactly
+      ``ref.k`` of them and every eigenvalue of ``P m P`` on the range of
+      ``P`` lies below ``tau - delta``. No factorization is made.
+    - a Cholesky factor of ``s I - P m P`` at the margin shift ``s``, the
+      midpoint of ``tau - delta`` and ``max(theta_{k+1}, 0)``, then at
+      ``s = tau - delta``. Then ``lambda_{k+1}(m') < s``, and the step hands
+      on the reference ``(k, s + sqrt(2) delta)``.
 
-    and no kept Ritz value lies within ``delta`` of tau. Then
-    ``m' = Y diag(theta) Y^T + P m P`` is within ``sqrt(2) ||R||_F`` of ``m``
-    and its prox is the Ritz rebuild, so the output is within that distance
-    of the full-eigensolve prox (the prox is 1-Lipschitz). It returns None when
-    the residual is not reached in ``_PARTIAL_STEPS`` steps, when every Ritz
-    value of the block exceeds tau, when a test above fails, or when LAPACK
-    fails on the Ritz ``eigh`` or the ``qr``.
+    It returns None when the residual is not reached within the step budget
+    (or, from an orthonormal block, when the observed rate cannot reach it),
+    when every Ritz value of the block exceeds tau, when no test above holds,
+    or when LAPACK fails on the Ritz ``eigh`` or a ``qr``.
     """
     eigh = np.linalg.eigh  # looked up per call, like _spectrum's
     tol = _PARTIAL_TOL * _fro(m)
+    steps = _SEEDED_STEPS if basis.seeded else _PARTIAL_STEPS
     try:
-        y = basis
+        y = np.linalg.qr(basis.vecs)[0] if basis.seeded else basis.vecs
         my = m @ y
         prev = math.inf
-        for left in range(_PARTIAL_STEPS - 1, -1, -1):
+        for left in range(steps - 1, -1, -1):
             h = y.T @ my
             theta, s = eigh((h + h.T) / 2.0)
             theta, s = theta[::-1], s[:, ::-1]  # descending
@@ -243,37 +302,68 @@ def _psd_soft_partial(m, tau, basis):
                 break
             # give up early when the observed rate cannot reach tol in the steps left
             rate = res / prev
-            if rate >= 1.0 or res * rate**left > tol:
+            if not basis.seeded and (rate >= 1.0 or res * rate**left > tol):
                 return None
             prev = res
             y = np.linalg.qr(my)[0]
             my = m @ y
         else:
             return None
-        if k and theta[k - 1] <= tau + tol:
-            return None
-        yk, myk = y[:, :k], my[:, :k]
-        # (tau - delta) I - P m P, with P m P = m - (yk c^T + c yk^T) and
-        # c = m yk - yk (yk^T m yk) / 2
-        c = myk - yk @ (yk.T @ myk) / 2.0
-        a = yk @ c.T
-        a += a.T
-        a -= m
-        a.reshape(-1)[:: m.shape[0] + 1] += tau - tol
-        np.linalg.cholesky(a)  # raises LinAlgError when the margin test fails
-        w = theta[:k] - tau
-        return _rebuild(yk, w), w, _Step(True, _warm_basis(y, k))
-    except np.linalg.LinAlgError:  # a failed Ritz eigh or qr, or the Cholesky test
+    except np.linalg.LinAlgError:  # a failed Ritz eigh or qr
         return None
+    if k and theta[k - 1] <= tau + tol:
+        return None
+    yk, myk = y[:, :k], my[:, :k]
+    ref = basis.ref
+    slack = math.sqrt(2.0) * tol
+    # Weyl's bound on the carried reference, else a Cholesky test
+    bounded = (
+        ref is not None
+        and k >= ref.k
+        and ref.beta + np.max(np.diagonal(m) - ref.diag) + slack < tau - tol
+    )
+    if not bounded:
+        ref = _margin_ref(m, yk, myk, tau - tol, max(theta[k], 0.0), slack)
+        if ref is None:
+            return None
+    w = theta[:k] - tau
+    return _rebuild(yk, w), w, _Step(True, _warm_basis(y, k, lambda: ref))
+
+
+def _margin_ref(m, yk, myk, limit, floor, slack):
+    """The reference ``(k, s + slack)`` of the first shift ``s`` at which ``s I - P m P``
+    has a Cholesky factor: the midpoint of ``limit`` and ``floor``, then ``limit``.
+
+    None when neither does. ``P = I - yk yk^T``, and ``myk = m yk``.
+    """
+    # s I - P m P, with P m P = m - (yk c^T + c yk^T) and c = m yk - yk (yk^T m yk) / 2
+    c = myk - yk @ (yk.T @ myk) / 2.0
+    a = yk @ c.T
+    a += a.T
+    a -= m
+    a_diag = a.reshape(-1)[:: m.shape[0] + 1]
+    base = a_diag.copy()
+    mid = (limit + floor) / 2.0
+    for s in (mid, limit) if mid < limit else (limit,):
+        a_diag[:] = base + s
+        try:
+            np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:  # the margin test fails at s
+            continue
+        return _Ref(yk.shape[1], s + slack, np.diagonal(m).copy())
+    return None
 
 
 def _prox_with_spectrum(spec, m, basis=None):
     """Apply ``spec`` to ``m``; also return the kept eigenvalues of the output.
 
     Returns ``(L, kept, step)``, with ``step`` a :class:`_Step`. For the
-    ``psd_soft`` kind, ``basis`` (the ``step.basis`` of the previous call)
-    makes it try the certified partial-spectrum step first; without one,
-    or when that step cannot be certified, it runs the full eigensolve.
+    ``psd_soft`` kind, ``basis`` (a :class:`_Warm`: the ``step.basis`` of the
+    previous call, or round 1's ``_seeded_basis``) makes it try the certified
+    partial-spectrum step first; without one, or when that step cannot be
+    certified, it runs the full eigensolve. A full ``psd_soft`` step that
+    hands out a warm basis attaches the reference ``lambda_{k+1}(m) <=
+    vals[k] + _EIGH_ERR p ||m||_F`` to it.
 
     Unchecked: ``m`` is finite and exactly symmetric, and a rank kind's
     ``r`` is at most ``p``.
@@ -288,7 +378,14 @@ def _prox_with_spectrum(spec, m, basis=None):
     # rebuild before copying out the warm basis: the other order makes the
     # same allocations but raised peak RSS at p = 500 by about 8 MB
     L = _rebuild(vecs[:, keep], w)
-    return L, w, _Step(False, _warm_basis(vecs, w.size) if spec.kind == "psd_soft" else None)
+    if spec.kind != "psd_soft":
+        return L, w, _Step(False, None)
+    k = w.size
+
+    def ref():
+        return _Ref(k, float(vals[k]) + _EIGH_ERR * m.shape[0] * _fro(m), np.diagonal(m).copy())
+
+    return L, w, _Step(False, _warm_basis(vecs, k, ref))
 
 
 def apply_prox(spec, m):

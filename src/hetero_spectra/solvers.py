@@ -39,7 +39,7 @@ import numpy as np
 
 from .matcore import _as_diag, _as_int, _as_rank, _as_real, _as_sym, _eigensolve, _fro
 from .matcore import eig_sym, pdiag, poffdiag
-from .shrinkage import ProxSpec, _penalty, _prox_with_spectrum
+from .shrinkage import ProxSpec, _penalty, _prox_with_spectrum, _seeded_basis
 
 __all__ = [
     "METHOD_TAGS",
@@ -118,7 +118,9 @@ class SolverTrace:
     zeros the step kept (``svd`` on a zero matrix, ``dd`` on a diagonal
     one). ``partial_accepted`` and ``partial_fallbacks`` count the certified
     partial-spectrum steps taken and the ones that fell back to the full
-    eigensolve.
+    eigensolve, round 1's included. ``warm`` is the last step's warm start
+    for a further ``psd_soft`` step on a nearby matrix (a block and its
+    certified eigenvalue bound), or None.
     """
 
     objective: list = field(default_factory=list)
@@ -131,6 +133,7 @@ class SolverTrace:
     kept: np.ndarray | None = None
     partial_accepted: int = 0
     partial_fallbacks: int = 0
+    warm: tuple | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -185,14 +188,19 @@ def alternating_solve(sigma, prox, d0=None, stop=None, keep_iterates=False):
     ``ValueError``. So does a round whose objective or residual is not
     finite, as when the input's scale overflows the norms.
 
-    For ``psd_soft`` at large p with few kept eigenpairs, iterations after
-    the first may take the certified partial-spectrum step of
-    :mod:`hetero_spectra.shrinkage`, warm-started from the previous step.
-    The last iteration is always a full-eigensolve step: when the stop rule
-    fires on a partial step (or the cap is reached), that step is redone
-    with the full operator on the same ``sigma - D``, ``D`` is refitted from
-    it and the stop rule is tested again. The returned pair and the trace's
-    last row therefore come from the full operator.
+    For ``psd_soft`` at large p with few kept eigenpairs, every iteration
+    may take the certified partial-spectrum step of
+    :mod:`hetero_spectra.shrinkage`: round 1 from a fixed-seed block, later
+    rounds warm-started from the previous step. Each step is certified by
+    an eigenvalue bound carried over the rounds, else by a Cholesky test
+    at a margin shift, else at ``tau - delta``, else it runs the full
+    eigensolve. The last iteration is always a full-eigensolve step, so a
+    fit whose partial steps all certify makes that one full eigensolve.
+    When the stop rule fires on a partial step (or the cap is reached),
+    that step is redone with the full operator on the same ``sigma - D``,
+    ``D`` is refitted from it and the stop rule is tested again. The
+    returned pair and the trace's last row therefore come from the full
+    operator.
 
     Parameters
     ----------
@@ -251,7 +259,7 @@ def _run(op, sigma, prox, d, rel_tol, max_iter, trace):
     scale = math.ldexp(0.5, math.frexp(top)[1])  # floors the stop and objective tests
     L_prev = np.zeros_like(sigma)
     prev_norm = 0.0
-    basis = None
+    basis = _seeded_basis(prox, p)
     for k in range(1, max_iter + 1):
         np.subtract(sigma_diag, d, out=m_diag)
         if not np.isfinite(m_diag).all():
@@ -303,6 +311,7 @@ def _run(op, sigma, prox, d, rel_tol, max_iter, trace):
     trace.iterations += k
     trace.stop_reason = ("converged" if resid else "fixed_point") if stopped else "max_iter"
     trace.kept = kept
+    trace.warm = basis
     return L, d
 
 

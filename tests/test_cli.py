@@ -23,6 +23,7 @@ from hetero_spectra import (
     pdiag,
     poffdiag,
     sin_theta,
+    soft_threshold_psd,
     symmetrize,
 )
 from hetero_spectra import simlab
@@ -745,6 +746,40 @@ def test_solve_partial_step_lapack_failure_falls_back(tmp_path, monkeypatch, cal
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["fixed_point_residual"] < 1e-8
     assert summary["stop_reason"] == "converged" and summary["converged"] is True
+
+
+@pytest.mark.parametrize("case", ["p160", "sample_cov_p300"])
+def test_large_p_solve_makes_one_full_eigensolve(tmp_path, monkeypatch, case):
+    # round 1 starts from a seeded block, an eigenvalue bound carried over
+    # the rounds certifies most partial steps, and the summary check starts
+    # from the fit's last basis: the one p x p eigh is the last round's
+    from test_solvers import factor_sample_cov
+
+    sigma, tau, argv, traces = _crossover_solve(tmp_path, monkeypatch)
+    if case == "sample_cov_p300":
+        sigma, tau = factor_sample_cov(61, 300)
+        write_matrix_csv(argv[2], sigma)
+        argv[6] = repr(tau)
+    p = sigma.shape[0]
+    counts = {"eigh": 0, "cholesky": 0}
+    for name in counts:
+
+        def counted(a, *args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            counts[_name] += _name == "cholesky" or a.shape[0] == p
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    assert main(argv) == 0
+    assert counts["eigh"] == 1 and counts["cholesky"] <= 3
+    # every round took a partial step, round 1's included
+    trace = traces[0]
+    assert trace.partial_accepted == trace.iterations and trace.partial_fallbacks == 0
+    # the summary's residual is within the partial step's margin of the full operator's
+    L = parse_matrix(str(tmp_path / "out" / "L.csv"))
+    m = sigma - parse_matrix(str(tmp_path / "out" / "D.csv"))
+    full = np.linalg.norm(L - soft_threshold_psd(m, tau))
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert abs(summary["fixed_point_residual"] - full) <= math.sqrt(2) * 1e-13 * np.linalg.norm(m)
 
 
 def test_python_m_hetero_spectra_runs_the_cli():

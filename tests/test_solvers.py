@@ -1,3 +1,4 @@
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -217,8 +218,9 @@ def _block_diag_repeated():
 
 # p50 is the desk sweep's size. p128 is at the partial-spectrum crossover,
 # but every kind keeps the full eigensolve there: the rank and sym_soft
-# kinds always do, and psd_soft(0.01) keeps more than p/8 eigenpairs. Its
-# soft kinds run to the cap, so p128 pins its first 60 iterates only
+# kinds always do, and psd_soft(0.01) keeps more than p/8 eigenpairs, so
+# its round-1 seeded block falls back once. Its soft kinds run to the cap,
+# so p128 pins its first 60 iterates only
 _PIN_SIGMAS = {
     "p1": lambda: np.array([[2.0]]),
     "p12": lambda: random_corr(np.random.default_rng(47), 12),
@@ -257,7 +259,8 @@ def test_alternating_solve_bitwise_matches_plain_loop(case, kind, d0_form):
     assert len(trace.iterates) == len(ref["iterates"])
     for got, want in zip(trace.iterates, ref["iterates"]):
         assert _bits(got) == _bits(want)
-    assert trace.partial_accepted == trace.partial_fallbacks == 0
+    assert trace.partial_accepted == 0
+    assert trace.partial_fallbacks == (case == "p128" and kind == "psd_soft")
 
 
 # ---------------------------------------------------------------- partial spectrum
@@ -341,11 +344,12 @@ def test_partial_spectrum_falls_back_when_kept_count_outgrows_block(monkeypatch)
     sigma = random_corr(np.random.default_rng(63), 256)
     off = eig_sym(poffdiag(sigma)).values
     tau = 0.01
-    # the first step keeps two eigenpairs; the second sees about p/2 above tau
+    # the first step keeps two eigenpairs; the second sees about p/2 above tau.
+    # On this flat spectrum round 1's seeded block does not converge either
     d0 = np.diagonal(sigma) + (off[2] - tau)
     stop = StopRule(1e-10, 30)
     got = rmtfa(sigma, tau, d0=d0, stop=stop)
-    assert got[1].partial_fallbacks == 1 and got[1].partial_accepted == 0
+    assert got[1].partial_fallbacks == 2 and got[1].partial_accepted == 0
     assert got[1].kept.size > 256 // 8
     _assert_same_solve(got, _full_path_rmtfa(monkeypatch, sigma, tau, d0=d0, stop=stop))
 
@@ -392,15 +396,17 @@ def test_partial_spectrum_gives_up_early_on_a_slow_rate(monkeypatch):
     m, basis = _stalling_input()
     outcomes = _spy_partial(monkeypatch)
     spec = ProxSpec.psd_soft(9.5)
-    L, kept, step = shrinkage._prox_with_spectrum(spec, m, basis)
+    L, kept, step = shrinkage._prox_with_spectrum(spec, m, shrinkage._Warm(basis))
     assert outcomes == ["gave_up"] and not step.partial
     # the dispatch then returns the full operator's output
     full_L, full_kept, _ = shrinkage._prox_with_spectrum(spec, m)
     assert _bits(L) == _bits(full_L) and _bits(kept) == _bits(full_kept)
-    # in the loop, each give-up counts as a fallback to the full eigensolve
+    # in the loop, each give-up counts as a fallback to the full eigensolve,
+    # and so does round 1's seeded block, which has no rate give-up
     outcomes.clear()
     _, trace = alternating_solve(m, ProxSpec.psd_soft(8.2), stop=StopRule(1e-10, 20))
-    assert trace.partial_fallbacks == outcomes.count("gave_up") > 0
+    assert outcomes[0] == "other" and outcomes.count("gave_up") > 0
+    assert trace.partial_fallbacks == outcomes.count("gave_up") + 1
     assert trace.partial_accepted == outcomes.count("accepted")
 
 
@@ -419,6 +425,131 @@ def test_partial_spectrum_exact_shutoff_large_p(start):
     assert trace.stop_reason == "fixed_point" and trace.kept.size == 0
     if start == "raised":
         assert trace.partial_accepted > 0
+
+
+def _spy_bound(monkeypatch):
+    """Record ``(m, tau, out)`` of every partial step accepted without a Cholesky test."""
+    chol = {"calls": 0}
+
+    def counted(a, _real=np.linalg.cholesky):
+        chol["calls"] += 1
+        return _real(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    real_partial = shrinkage._psd_soft_partial
+    by_bound = []
+
+    def spy(m, tau, basis):
+        chol["calls"] = 0
+        out = real_partial(m, tau, basis)
+        if out is not None and chol["calls"] == 0:
+            by_bound.append((m.copy(), tau, out))  # the loop rewrites m's diagonal
+        return out
+
+    monkeypatch.setattr(shrinkage, "_psd_soft_partial", spy)
+    return by_bound
+
+
+@pytest.mark.parametrize("case", ["p256", "sample_cov_p300"])
+def test_bound_certified_steps_pass_the_cholesky_test(case, monkeypatch):
+    # a step the eigenvalue bound accepts also passes the factorization it
+    # skips: (tau - delta) I - P m P is positive definite
+    sigma, tau = _p256_factor() if case == "p256" else factor_sample_cov(61, 300)
+    by_bound = _spy_bound(monkeypatch)
+    rmtfa(sigma, tau)
+    assert len(by_bound) >= 3
+    for m, tau, (_, w, step) in by_bound:
+        p = m.shape[0]
+        delta = shrinkage._PARTIAL_TOL * np.linalg.norm(m)
+        yk = step.basis.vecs[:, : w.size]
+        proj = np.eye(p) - yk @ yk.T
+        np.linalg.cholesky(symmetrize((tau - delta) * np.eye(p) - proj @ m @ proj))
+
+
+def _hidden_eigenvalue():
+    """``(m, warm, tau)``: ``m = blockdiag(A, 0.5 I)`` at p = 256, with A's
+    eigenvalues 10 and 0.6-1.0 and tau = 5, and the warm start its full
+    ``psd_soft`` step hands out. The block holds A's leading eigenvectors, so
+    it misses every coordinate vector e_j of the second block."""
+    rng = np.random.default_rng(71)
+    v = np.linalg.qr(rng.standard_normal((128, 128)))[0]
+    lam = np.linspace(1.0, 0.6, 128)
+    lam[0] = 10.0
+    m = np.diag(np.full(256, 0.5))
+    m[:128, :128] = symmetrize((v * lam) @ v.T)
+    tau = 5.0
+    warm = shrinkage._prox_with_spectrum(ProxSpec.psd_soft(tau), m)[2].basis
+    assert warm.ref.k == 1 and not warm.vecs[128:].any()
+    return m, warm, tau
+
+
+def _assert_full_prox(m, tau, warm, kept):
+    L, w, step = shrinkage._prox_with_spectrum(ProxSpec.psd_soft(tau), m, warm)
+    assert w.size == kept and not step.partial
+    assert np.linalg.norm(L - soft_threshold_psd(m, tau)) <= 1e-12 * np.linalg.norm(L)
+
+
+def test_bound_counts_the_diagonal_drift():
+    # raising one diagonal entry of the second block lifts an eigenvalue from
+    # 0.5 to 7.5, over tau, along e_200, which the warm block cannot see: the
+    # block still converges to its one kept pair, and only the drift term of
+    # the bound keeps the step from being accepted without that eigenvalue
+    m, warm, tau = _hidden_eigenvalue()
+    m[200, 200] += 7.0
+    _assert_full_prox(m, tau, warm, kept=2)
+
+
+def test_bound_needs_as_many_kept_pairs_as_its_reference():
+    # a reference with k = 2 (10 and 7.5 kept), reused by a step whose block
+    # finds only the pair at 10: it bounds lambda_3, not the missed lambda_2
+    m, warm, tau = _hidden_eigenvalue()
+    m[200, 200] += 7.0
+    ref = shrinkage._prox_with_spectrum(ProxSpec.psd_soft(tau), m)[2].basis.ref
+    assert ref.k == 2 and ref.beta < 1.5
+    _assert_full_prox(m, tau, warm._replace(ref=ref), kept=2)
+
+
+@pytest.mark.parametrize("case", ["p256", "sample_cov_p300"])
+def test_round_one_takes_a_partial_step_from_a_seeded_block(case):
+    sigma, tau = _p256_factor() if case == "p256" else factor_sample_cov(61, 300)
+    spec = ProxSpec.psd_soft(tau)
+    m = poffdiag(sigma)  # round 1's sigma - D
+    seeded = shrinkage._seeded_basis(spec, m.shape[0])
+    L, kept, step = shrinkage._prox_with_spectrum(spec, m, seeded)
+    full_L, full_kept, _ = shrinkage._prox_with_spectrum(spec, m)
+    assert step.partial and kept.size == full_kept.size > 0
+    assert np.linalg.norm(L - full_L) <= math.sqrt(2) * shrinkage._PARTIAL_TOL * np.linalg.norm(m)
+
+
+@pytest.mark.parametrize("case", ["p256", "sample_cov_p300"])
+def test_round_one_falls_back_when_its_step_budget_runs_out(case, monkeypatch):
+    sigma, tau = _p256_factor() if case == "p256" else factor_sample_cov(61, 300)
+    monkeypatch.setattr(shrinkage, "_SEEDED_STEPS", 1)
+    outcomes = _spy_partial(monkeypatch)
+    dec, trace = rmtfa(sigma, tau)
+    assert outcomes[0] != "accepted" and trace.partial_fallbacks == 1
+    assert trace.partial_accepted == trace.iterations - 1 > 0
+    # the tolerances of test_partial_spectrum_path_matches_full_path
+    full, full_trace = _full_path_rmtfa(monkeypatch, sigma, tau)
+    assert dec.iterations == full.iterations
+    assert trace.converged and trace.stop_reason == full_trace.stop_reason == "converged"
+    assert np.linalg.norm(dec.L - full.L) <= 1e-10 * np.linalg.norm(full.L)
+    assert np.array_equal(dec.D, pdiag(sigma - dec.L))
+
+
+def test_round_one_qr_failure_falls_back(monkeypatch):
+    sigma, tau = factor_sample_cov(61, 300)
+    spec = ProxSpec.psd_soft(tau)
+    m = poffdiag(sigma)
+
+    def failing(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("synthetic LAPACK failure")
+
+    monkeypatch.setattr(np.linalg, "qr", failing)
+    L, kept, step = shrinkage._prox_with_spectrum(spec, m, shrinkage._seeded_basis(spec, 300))
+    full_L, full_kept, _ = shrinkage._prox_with_spectrum(spec, m)
+    assert not step.partial
+    assert _bits(L) == _bits(full_L) and _bits(kept) == _bits(full_kept)
 
 
 def test_alternating_nonfinite_iterate_raises(monkeypatch):
