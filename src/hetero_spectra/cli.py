@@ -26,13 +26,13 @@ import numpy as np
 from .matcore import EigenSolverError, _fro, symmetrize
 from .metrics import heywood_check
 from . import solvers
-from .shrinkage import apply_prox
 from .simlab import ExperimentConfig, ResultRow, _WorkerDied, run_experiment
 from .solvers import METHOD_TAGS, METHODS, SOFT_METHODS, _numerical_rank
 
 # solve runs its fit through METHODS. The names below stay bound here only
 # because perfbench/tracer.py patches them on this module for its traced
 # run; solve calls none of them.
+from .shrinkage import apply_prox  # noqa: F401
 from .solvers import (  # noqa: F401
     deflated_heteropca,
     diag_deleted_pca,
@@ -353,15 +353,10 @@ def cmd_solve(args):
         "stop_reason": trace.stop_reason,
     }
     if soft:
-        # a check of the returned pair, prox(sigma - D): the certified partial
-        # step from the fit's last basis where it handed one out, else a full
-        # eigensolve. The step is looked up on solvers, where
-        # perfbench/tracer.py times it as the shrinkage layer's
+        # a check of the returned pair, prox(sigma - D), warm-started from the
+        # fit's last basis; looked up on solvers, where perfbench/tracer.py times it
         spec = SOFT_METHODS[method](param)
-        if trace.warm is None:
-            refit = apply_prox(spec, sigma - dec.D)
-        else:
-            refit = solvers._prox_with_spectrum(spec, sigma - dec.D, trace.warm)[0]
+        refit = solvers._prox_with_spectrum(spec, sigma - dec.D, trace.warm)[0]
         summary["fixed_point_residual"] = _fro(dec.L - refit)
         del refit  # not held through the writes below
     # strict JSON, built before any file is written: a failure leaves no outputs

@@ -16,10 +16,12 @@ At large p the ``psd_soft`` kind keeps few eigenpairs, so the dispatch can
 take a certified partial-spectrum step (``_psd_soft_partial``) instead of
 the full eigensolve: on round 1 from a fixed-seed Gaussian block
 (``_seeded_basis``), then warm-started from the previous step's
-eigenvectors. A step is certified by the first of an eigenvalue bound
-carried from an earlier step (no factorization), a Cholesky test at a
-margin shift, and the Cholesky test at ``tau - delta``; it falls back to
-the full eigensolve when none holds. So a large-p ``rmtfa`` fit makes one
+eigenvectors. Every start block runs one rule: a budget of
+``_PARTIAL_STEPS`` steps, with a give-up from its second contraction on.
+A step is certified by the first of an eigenvalue bound carried from an
+earlier step (no factorization), a Cholesky test at a margin shift, and
+the Cholesky test at ``tau - delta``; it falls back to the full
+eigensolve when none holds. So a large-p ``rmtfa`` fit makes one
 full eigensolve, the last round's re-certification.
 """
 
@@ -179,14 +181,12 @@ def best_rank_r_psd(m, r):
 _PARTIAL_MIN_P = 128
 _OVERSAMPLE = 8
 # subspace-iteration steps allowed before falling back to the full eigh
-_PARTIAL_STEPS = 10
+_PARTIAL_STEPS = 20
 # kept Ritz residual allowed, and the margin by which every eigenvalue must
 # clear tau, both relative to ||m||_F
 _PARTIAL_TOL = 1e-13
-# round 1's start: a Gaussian block of this many columns from a fixed seed,
-# and the steps it may take (it has no rate give-up)
+# round 1's start: a Gaussian block of this many columns from a fixed seed
 _SEEDED_COLS = 2 * _OVERSAMPLE
-_SEEDED_STEPS = 20
 _SEED = 20240607
 # the error allowed on an eigenvalue from a full eigh, relative to p eps ||m||_F
 _EIGH_ERR = 8.0 * np.finfo(float).eps
@@ -207,15 +207,14 @@ class _Ref(NamedTuple):
 class _Warm(NamedTuple):
     """The start of a partial step.
 
-    ``vecs`` is the block to start from: orthonormal, or with ``seeded`` a
-    Gaussian block (round 1's), which gets its own step budget and no rate
-    give-up. ``ref`` is the reference carried from the step that handed the
-    block out, or None.
+    ``vecs`` is the block to start from, and ``ref`` the reference carried
+    from the step that handed it out. Every block a step hands out carries
+    one and is orthonormal; a block with ``ref`` None (round 1's Gaussian
+    block) is orthonormalized on entry.
     """
 
     vecs: np.ndarray
     ref: _Ref | None = None
-    seeded: bool = False
 
 
 class _Step(NamedTuple):
@@ -245,7 +244,7 @@ def _seeded_basis(spec, p):
     """Round 1's start: a fixed-seed Gaussian block for ``psd_soft`` at p >= _PARTIAL_MIN_P."""
     if spec.kind != "psd_soft" or p < _PARTIAL_MIN_P:
         return None
-    return _Warm(np.random.default_rng(_SEED).standard_normal((p, _SEEDED_COLS)), seeded=True)
+    return _Warm(np.random.default_rng(_SEED).standard_normal((p, _SEEDED_COLS)))
 
 
 def _psd_soft_partial(m, tau, basis):
@@ -275,19 +274,19 @@ def _psd_soft_partial(m, tau, basis):
       ``s = tau - delta``. Then ``lambda_{k+1}(m') < s``, and the step hands
       on the reference ``(k, s + sqrt(2) delta)``.
 
-    It returns None when the residual is not reached within the step budget
-    (or, from an orthonormal block, when the observed rate cannot reach it),
-    when every Ritz value of the block exceeds tau, when no test above holds,
-    or when LAPACK fails on the Ritz ``eigh`` or a ``qr``.
+    It returns None when the residual is not reached within
+    ``_PARTIAL_STEPS`` steps (or when, from the second contraction on, the
+    observed rate cannot reach it in the steps left; the first measures how
+    far the start block was), when every Ritz value of the block exceeds
+    tau, when no test above holds, or when LAPACK fails on the Ritz ``eigh``
+    or a ``qr``.
     """
     eigh = np.linalg.eigh  # looked up per call, like _spectrum's
     tol = _PARTIAL_TOL * _fro(m)
-    steps = _SEEDED_STEPS if basis.seeded else _PARTIAL_STEPS
     try:
-        y = np.linalg.qr(basis.vecs)[0] if basis.seeded else basis.vecs
+        y = basis.vecs if basis.ref is not None else np.linalg.qr(basis.vecs)[0]
         my = m @ y
-        prev = math.inf
-        for left in range(steps - 1, -1, -1):
+        for left in range(_PARTIAL_STEPS - 1, -1, -1):
             h = y.T @ my
             theta, s = eigh((h + h.T) / 2.0)
             theta, s = theta[::-1], s[:, ::-1]  # descending
@@ -300,10 +299,12 @@ def _psd_soft_partial(m, tau, basis):
             res = _fro(r)
             if res <= tol:
                 break
-            # give up early when the observed rate cannot reach tol in the steps left
-            rate = res / prev
-            if not basis.seeded and (rate >= 1.0 or res * rate**left > tol):
-                return None
+            # give up early when the observed rate cannot reach tol in the steps
+            # left, from the second contraction on
+            if left < _PARTIAL_STEPS - 2:
+                rate = res / prev
+                if rate >= 1.0 or res * rate**left > tol:
+                    return None
             prev = res
             y = np.linalg.qr(my)[0]
             my = m @ y

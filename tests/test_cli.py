@@ -16,6 +16,7 @@ from hetero_spectra import (
     METHOD_TAGS,
     ModelParams,
     best_rank_r,
+    check_orthonormal,
     gen_instance,
     numerical_rank_sym,
     objective_F,
@@ -26,7 +27,7 @@ from hetero_spectra import (
     soft_threshold_psd,
     symmetrize,
 )
-from hetero_spectra import simlab
+from hetero_spectra import simlab, solvers
 from hetero_spectra.solvers import METHODS
 from hetero_spectra.cli import (
     ParseError,
@@ -780,6 +781,35 @@ def test_large_p_solve_makes_one_full_eigensolve(tmp_path, monkeypatch, case):
     full = np.linalg.norm(L - soft_threshold_psd(m, tau))
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert abs(summary["fixed_point_residual"] - full) <= math.sqrt(2) * 1e-13 * np.linalg.norm(m)
+
+
+def test_every_handed_out_block_is_orthonormal_with_a_reference(tmp_path, monkeypatch):
+    # a partial step orthonormalizes only a block without a reference (round
+    # 1's Gaussian block), so every block a step hands out, over the fit and
+    # the summary check, must carry one and be orthonormal
+    from test_solvers import factor_sample_cov
+
+    _, _, argv, traces = _crossover_solve(tmp_path, monkeypatch)
+    sigma, tau = factor_sample_cov(61, 300)
+    write_matrix_csv(argv[2], sigma)
+    argv[6] = repr(tau)
+    real = solvers._prox_with_spectrum
+    bases = []
+
+    def spy(spec, m, basis=None):
+        out = real(spec, m, basis)
+        bases.append(out[2].basis)
+        return out
+
+    monkeypatch.setattr(solvers, "_prox_with_spectrum", spy)
+    assert main(argv) == 0
+    # each round, the last round's re-certification and the summary check
+    trace = traces[0]
+    assert len(bases) == trace.iterations + 2 and trace.partial_accepted > 0
+    for basis in bases:
+        if basis is not None:
+            assert basis.ref is not None
+            check_orthonormal(basis.vecs, tol=1e-12)
 
 
 def test_python_m_hetero_spectra_runs_the_cli():

@@ -402,7 +402,8 @@ def test_partial_spectrum_gives_up_early_on_a_slow_rate(monkeypatch):
     full_L, full_kept, _ = shrinkage._prox_with_spectrum(spec, m)
     assert _bits(L) == _bits(full_L) and _bits(kept) == _bits(full_kept)
     # in the loop, each give-up counts as a fallback to the full eigensolve,
-    # and so does round 1's seeded block, which has no rate give-up
+    # and so does round 1's seeded block: its first Ritz values all lie below
+    # tau, and the Cholesky test of that empty selection fails
     outcomes.clear()
     _, trace = alternating_solve(m, ProxSpec.psd_soft(8.2), stop=StopRule(1e-10, 20))
     assert outcomes[0] == "other" and outcomes.count("gave_up") > 0
@@ -524,7 +525,9 @@ def test_round_one_takes_a_partial_step_from_a_seeded_block(case):
 @pytest.mark.parametrize("case", ["p256", "sample_cov_p300"])
 def test_round_one_falls_back_when_its_step_budget_runs_out(case, monkeypatch):
     sigma, tau = _p256_factor() if case == "p256" else factor_sample_cov(61, 300)
-    monkeypatch.setattr(shrinkage, "_SEEDED_STEPS", 1)
+    # a shared budget round 1's Gaussian block cannot meet there, while the
+    # warm blocks of the later rounds need at most 6 steps
+    monkeypatch.setattr(shrinkage, "_PARTIAL_STEPS", 8)
     outcomes = _spy_partial(monkeypatch)
     dec, trace = rmtfa(sigma, tau)
     assert outcomes[0] != "accepted" and trace.partial_fallbacks == 1
@@ -550,6 +553,22 @@ def test_round_one_qr_failure_falls_back(monkeypatch):
     full_L, full_kept, _ = shrinkage._prox_with_spectrum(spec, m)
     assert not step.partial
     assert _bits(L) == _bits(full_L) and _bits(kept) == _bits(full_kept)
+
+
+@pytest.mark.parametrize("p, seed", [(300, 61), (500, 3)])
+def test_partial_spectrum_does_not_give_up_on_a_far_start_blocks_first_rate(p, seed):
+    # the first contraction of a Gaussian block measures how far it started,
+    # not the iteration's rate: here it reads 0.46 and 1.06, and every later
+    # one at most 0.04, so the step must run on and be accepted
+    sigma, tau = factor_sample_cov(seed, p)
+    spec = ProxSpec.psd_soft(tau)
+    m = poffdiag(sigma)
+    full_L, full_kept, full_step = shrinkage._prox_with_spectrum(spec, m)
+    block = np.linalg.qr(np.random.default_rng(5).standard_normal((p, 16)))[0]
+    warm = shrinkage._Warm(block, full_step.basis.ref)
+    L, kept, step = shrinkage._prox_with_spectrum(spec, m, warm)
+    assert step.partial and kept.size == full_kept.size == 5
+    assert np.linalg.norm(L - full_L) <= math.sqrt(2) * shrinkage._PARTIAL_TOL * np.linalg.norm(m)
 
 
 def test_alternating_nonfinite_iterate_raises(monkeypatch):
