@@ -18,10 +18,9 @@ the full eigensolve: on round 1 from a fixed-seed Gaussian block
 (``_seeded_basis``), then warm-started from the previous step's
 eigenvectors. Every start block runs one rule: a budget of
 ``_PARTIAL_STEPS`` steps, with a give-up from its second contraction on.
-A step is certified by the first of an eigenvalue bound carried from an
-earlier step (no factorization), a Cholesky test at a margin shift, and
-the Cholesky test at ``tau - delta``; it falls back to the full
-eigensolve when none holds. So a large-p ``rmtfa`` fit makes one
+A step is certified by an eigenvalue bound carried from an earlier step
+(no factorization), else by one Cholesky test at a margin shift, else it
+falls back to the full eigensolve. So a large-p ``rmtfa`` fit makes one
 full eigensolve, the last round's re-certification.
 """
 
@@ -269,16 +268,17 @@ def _psd_soft_partial(m, tau, basis):
       values are eigenvalues of ``m'`` above tau, so there are exactly
       ``ref.k`` of them and every eigenvalue of ``P m P`` on the range of
       ``P`` lies below ``tau - delta``. No factorization is made.
-    - a Cholesky factor of ``s I - P m P`` at the margin shift ``s``, the
-      midpoint of ``tau - delta`` and ``max(theta_{k+1}, 0)``, then at
-      ``s = tau - delta``. Then ``lambda_{k+1}(m') < s``, and the step hands
-      on the reference ``(k, s + sqrt(2) delta)``.
+    - one Cholesky factor of ``s I - P m P`` at the margin shift ``s``, the
+      midpoint of ``tau - delta`` and ``max(theta_{k+1}, 0)``. Then
+      ``lambda_{k+1}(m') < s``, and the step hands on ``(k, s + sqrt(2) delta)``.
+      No factorization is made when ``s >= tau - delta``: ``lambda_max(P m P)
+      >= max(theta_{k+1}, 0) >= s`` there, so the test cannot pass.
 
     It returns None when the residual is not reached within
     ``_PARTIAL_STEPS`` steps (or when, from the second contraction on, the
     observed rate cannot reach it in the steps left; the first measures how
     far the start block was), when every Ritz value of the block exceeds
-    tau, when no test above holds, or when LAPACK fails on the Ritz ``eigh``
+    tau, when neither test holds, or when LAPACK fails on the Ritz ``eigh``
     or a ``qr``.
     """
     eigh = np.linalg.eigh  # looked up per call, like _spectrum's
@@ -309,6 +309,8 @@ def _psd_soft_partial(m, tau, basis):
             y = np.linalg.qr(my)[0]
             my = m @ y
         else:
+            # unreached for a finite residual: at left == 0, rate**0 == 1, so any res > tol
+            # gives up. It stays so that a changed give-up cannot accept an unconverged block
             return None
     except np.linalg.LinAlgError:  # a failed Ritz eigh or qr
         return None
@@ -332,27 +334,24 @@ def _psd_soft_partial(m, tau, basis):
 
 
 def _margin_ref(m, yk, myk, limit, floor, slack):
-    """The reference ``(k, s + slack)`` of the first shift ``s`` at which ``s I - P m P``
-    has a Cholesky factor: the midpoint of ``limit`` and ``floor``, then ``limit``.
-
-    None when neither does. ``P = I - yk yk^T``, and ``myk = m yk``.
+    """The reference ``(k, s + slack)`` if ``s I - P m P`` has a Cholesky factor at the
+    margin shift ``s``, the midpoint of ``limit`` and ``floor``; else None, with no
+    factorization made when ``s >= limit``. ``P = I - yk yk^T``, and ``myk = m yk``.
     """
+    s = (limit + floor) / 2.0
+    if s >= limit:
+        return None
     # s I - P m P, with P m P = m - (yk c^T + c yk^T) and c = m yk - yk (yk^T m yk) / 2
     c = myk - yk @ (yk.T @ myk) / 2.0
     a = yk @ c.T
     a += a.T
     a -= m
-    a_diag = a.reshape(-1)[:: m.shape[0] + 1]
-    base = a_diag.copy()
-    mid = (limit + floor) / 2.0
-    for s in (mid, limit) if mid < limit else (limit,):
-        a_diag[:] = base + s
-        try:
-            np.linalg.cholesky(a)
-        except np.linalg.LinAlgError:  # the margin test fails at s
-            continue
-        return _Ref(yk.shape[1], s + slack, np.diagonal(m).copy())
-    return None
+    a.reshape(-1)[:: m.shape[0] + 1] += s
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:  # the margin test fails at s
+        return None
+    return _Ref(yk.shape[1], s + slack, np.diagonal(m).copy())
 
 
 def _prox_with_spectrum(spec, m, basis=None):

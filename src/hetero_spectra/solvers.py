@@ -27,9 +27,9 @@ converged, having no tolerance to miss. Its trace reads ``stop_reason ==
 "max_iter"`` when the budget ran out. The fit's ``Decomposition.method``
 is its tag, and ``iterations`` counts the rounds run (summed over the
 ``dhpca`` stages). Each fit checks its matrix once and builds its
-``Decomposition`` once: ``rmtfa`` and ``soft_impute_diag`` through
-:func:`alternating_solve`, the fixed-budget fits through ``_fixed_budget``,
-and ``dhpca`` by one ``_run`` per stage on a shared trace.
+``Decomposition`` once, in ``_fit``: ``rmtfa`` and ``soft_impute_diag``
+through :func:`alternating_solve`, the fixed-budget fits directly, except
+``dhpca``, which runs ``_run`` once per stage on a shared trace.
 """
 
 import math
@@ -192,10 +192,10 @@ def alternating_solve(sigma, prox, d0=None, stop=None, keep_iterates=False):
     may take the certified partial-spectrum step of
     :mod:`hetero_spectra.shrinkage`: round 1 from a fixed-seed block, later
     rounds warm-started from the previous step. Each step is certified by
-    an eigenvalue bound carried over the rounds, else by a Cholesky test
-    at a margin shift, else at ``tau - delta``, else it runs the full
-    eigensolve. The last iteration is always a full-eigensolve step, so a
-    fit whose partial steps all certify makes that one full eigensolve.
+    an eigenvalue bound carried over the rounds, else by one Cholesky test
+    at a margin shift, else it runs the full eigensolve. The last
+    iteration is always a full-eigensolve step, so a fit whose partial
+    steps all certify makes that one full eigensolve.
     When the stop rule fires on a partial step (or the cap is reached),
     that step is redone with the full operator on the same ``sigma - D``,
     ``D`` is refitted from it and the stop rule is tested again. The
@@ -220,22 +220,34 @@ def alternating_solve(sigma, prox, d0=None, stop=None, keep_iterates=False):
     -------
     (Decomposition, SolverTrace)
     """
-    sigma = _as_sym(sigma, "alternating_solve")
     if not isinstance(prox, ProxSpec):
         raise ValueError("alternating_solve: prox must be a ProxSpec")
     if stop is None:
         stop = StopRule()
     elif not isinstance(stop, StopRule):
         raise ValueError("alternating_solve: stop must be a StopRule")
+    start = None if d0 is None else lambda p: _as_diag(d0, "d0", p)
+    tag = _METHOD_BY_KIND[prox.kind]
+    return _fit(
+        "alternating_solve", tag, sigma, prox, stop.rel_tol, stop.max_iter, start, keep_iterates
+    )
+
+
+def _fit(op, tag, sigma, prox, rel_tol, max_iter, start=None, keep_iterates=False, p=None):
+    """The fit ``tag`` of ``prox`` on ``sigma``: ``(Decomposition, SolverTrace)``.
+
+    Checks ``sigma`` (of size ``p``, where given) and a rank kind's ``r``, naming ``op`` in
+    errors, and runs ``_run`` from ``D_0 = start(p)`` where given, else from ``pdiag(sigma)``.
+    """
+    sigma = _as_sym(sigma, op, p)
     p = sigma.shape[0]
     if prox.r is not None:
         _as_rank(prox.r, p)
-    d = np.diagonal(sigma) if d0 is None else _as_diag(d0, "d0", p)
+    d = np.diagonal(sigma) if start is None else start(p)
     trace = SolverTrace(iterates=[] if keep_iterates else None)
-    L, d = _run("alternating_solve", sigma, prox, d, stop.rel_tol, stop.max_iter, trace)
-    method = _METHOD_BY_KIND[prox.kind]
+    L, d = _run(op, sigma, prox, d, rel_tol, max_iter, trace)
     param = prox.tau if prox.tau is not None else prox.r
-    return Decomposition(L, np.diag(d), method, param, trace.converged, trace.iterations), trace
+    return Decomposition(L, np.diag(d), tag, param, trace.converged, trace.iterations), trace
 
 
 def _run(op, sigma, prox, d, rel_tol, max_iter, trace):
@@ -344,21 +356,6 @@ def soft_impute_diag(sigma, tau, stop=None, d0=None, keep_iterates=False):
     return alternating_solve(sigma, SOFT_METHODS["si"](tau), d0, stop, keep_iterates)
 
 
-def _fixed_budget(tag, sigma, prox, rounds, zero_start=False, keep_iterates=False, p=None):
-    """The fit ``tag``: ``rounds`` rounds of the loop, or to an exact fixed point.
-
-    Checks ``sigma`` (errors name ``tag``; of size ``p``, where given) and
-    starts from ``D_0 = 0`` with ``zero_start``, else from ``pdiag(sigma)``.
-    """
-    sigma = _as_sym(sigma, tag, p)
-    p = sigma.shape[0]
-    _as_rank(prox.r, p)
-    trace = SolverTrace(iterates=[] if keep_iterates else None)
-    d = np.zeros(p) if zero_start else np.diagonal(sigma)
-    L, d = _run(tag, sigma, prox, d, 0.0, rounds, trace)
-    return Decomposition(L, np.diag(d), tag, prox.r, trace.converged, trace.iterations), trace
-
-
 def heteropca(sigma, r, t_max=_ROUNDS, g0=None, keep_iterates=False):
     """Iterative diagonal imputation around a rank-r approximation.
 
@@ -382,8 +379,8 @@ def heteropca(sigma, r, t_max=_ROUNDS, g0=None, keep_iterates=False):
     """
     t_max = _as_int(t_max, "heteropca: t_max", lo=1)
     p = None if g0 is None else _as_sym(sigma, "heteropca").shape[0]
-    base, op = (sigma, "heteropca") if g0 is None else (g0, "heteropca: g0")
-    dec, trace = _fixed_budget(op, base, ProxSpec.rank(r), t_max, g0 is not None, keep_iterates, p)
+    base, op, start = (sigma, "heteropca", None) if g0 is None else (g0, "heteropca: g0", np.zeros)
+    dec, trace = _fit(op, "hpca", base, ProxSpec.rank(r), 0.0, t_max, start, keep_iterates, p)
     G = poffdiag(base) + pdiag(dec.L)
     if keep_iterates:
         return dec.L, G, trace.iterates
@@ -464,18 +461,20 @@ def heteropca_psd(sigma, r, t_max=_ROUNDS):
     (L, D) : final PSD low-rank part and diagonal part.
     """
     t_max = _as_int(t_max, "heteropca_psd: t_max", lo=1)
-    dec, _ = _fixed_budget("heteropca_psd", sigma, ProxSpec.rank_psd(r), t_max)
+    dec, _ = _fit("heteropca_psd", "hpca_plus", sigma, ProxSpec.rank_psd(r), 0.0, t_max)
     return dec.L, dec.D
 
 
 # tag -> fit(sigma, param) -> (Decomposition, SolverTrace); see the module
 # docstring for each method's prox, start and stop
 METHODS = {
-    "svd": lambda sigma, r: _fixed_budget("svd", sigma, ProxSpec.rank(r), 1, zero_start=True),
-    "dd": lambda sigma, r: _fixed_budget("dd", sigma, ProxSpec.rank(r), 1),
-    "hpca": lambda sigma, r: _fixed_budget("hpca", sigma, ProxSpec.rank(r), _ROUNDS),
+    "svd": lambda sigma, r: _fit("svd", "svd", sigma, ProxSpec.rank(r), 0.0, 1, np.zeros),
+    "dd": lambda sigma, r: _fit("dd", "dd", sigma, ProxSpec.rank(r), 0.0, 1),
+    "hpca": lambda sigma, r: _fit("hpca", "hpca", sigma, ProxSpec.rank(r), 0.0, _ROUNDS),
     "dhpca": lambda sigma, r: _deflated_run(sigma, r, _ROUNDS)[:2],
-    "hpca_plus": lambda sigma, r: _fixed_budget("hpca_plus", sigma, ProxSpec.rank_psd(r), _ROUNDS),
+    "hpca_plus": lambda sigma, r: _fit(
+        "hpca_plus", "hpca_plus", sigma, ProxSpec.rank_psd(r), 0.0, _ROUNDS
+    ),
     "rmtfa": rmtfa,
     "si": soft_impute_diag,
 }

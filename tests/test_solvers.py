@@ -366,18 +366,24 @@ def _stalling_input(p=256):
     return symmetrize((v * lam) @ v.T), np.linalg.qr(v[:, :9] + 0.3 * v[:, 9:18])[0]
 
 
-def _spy_partial(monkeypatch):
-    """Record how each partial step ends: "accepted", "gave_up" (None after
-    at least one subspace step, before the step budget ran out and without
-    reaching the Cholesky test) or "other"."""
-    calls = {"qr": 0, "cholesky": 0}
-    for name in calls:
+def _counted(monkeypatch, *names):
+    """Count the calls of the named ``np.linalg`` functions, by name."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
 
         def counted(a, _real=getattr(np.linalg, name), _name=name):
             calls[_name] += 1
             return _real(a)
 
         monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def _spy_partial(monkeypatch):
+    """Record how each partial step ends: "accepted", "gave_up" (None after
+    at least one subspace step, before the step budget ran out and without
+    reaching the Cholesky test) or "other"."""
+    calls = _counted(monkeypatch, "qr", "cholesky")
     real_partial = shrinkage._psd_soft_partial
     outcomes = []
 
@@ -430,20 +436,14 @@ def test_partial_spectrum_exact_shutoff_large_p(start):
 
 def _spy_bound(monkeypatch):
     """Record ``(m, tau, out)`` of every partial step accepted without a Cholesky test."""
-    chol = {"calls": 0}
-
-    def counted(a, _real=np.linalg.cholesky):
-        chol["calls"] += 1
-        return _real(a)
-
-    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    chol = _counted(monkeypatch, "cholesky")
     real_partial = shrinkage._psd_soft_partial
     by_bound = []
 
     def spy(m, tau, basis):
-        chol["calls"] = 0
+        chol["cholesky"] = 0
         out = real_partial(m, tau, basis)
-        if out is not None and chol["calls"] == 0:
+        if out is not None and chol["cholesky"] == 0:
             by_bound.append((m.copy(), tau, out))  # the loop rewrites m's diagonal
         return out
 
@@ -553,6 +553,30 @@ def test_round_one_qr_failure_falls_back(monkeypatch):
     full_L, full_kept, _ = shrinkage._prox_with_spectrum(spec, m)
     assert not step.partial
     assert _bits(L) == _bits(full_L) and _bits(kept) == _bits(full_kept)
+
+
+@pytest.mark.parametrize("above", [3, 6])
+def test_round_one_falls_back_after_one_cholesky_test_on_a_flat_spectrum(above, monkeypatch):
+    # the seeded block's first Ritz values all lie below tau: its empty kept
+    # residual passes at once, and the one margin test fails
+    m = poffdiag(random_corr(np.random.default_rng(63), 256))
+    vals = eig_sym(m).values
+    spec = ProxSpec.psd_soft((vals[above - 1] + vals[above]) / 2.0)
+    full_L, full_kept, _ = shrinkage._prox_with_spectrum(spec, m)
+    calls = _counted(monkeypatch, "qr", "cholesky")
+    L, kept, step = shrinkage._prox_with_spectrum(spec, m, shrinkage._seeded_basis(spec, 256))
+    assert calls == {"qr": 1, "cholesky": 1} and not step.partial
+    assert _bits(L) == _bits(full_L) and _bits(kept) == _bits(full_kept)
+
+
+@pytest.mark.parametrize("floor", [1.0, 2.0])
+def test_margin_test_makes_no_factorization_at_or_above_its_limit(floor, monkeypatch):
+    # with k = 0, P m P = m, whose largest eigenvalue 2 is at least both
+    # limit and floor: the test cannot pass, so it is not made
+    m = np.diag(np.linspace(2.0, 0.0, 8))
+    calls = _counted(monkeypatch, "cholesky")
+    assert shrinkage._margin_ref(m, np.zeros((8, 0)), np.zeros((8, 0)), 1.0, floor, 0.0) is None
+    assert calls["cholesky"] == 0
 
 
 @pytest.mark.parametrize("p, seed", [(300, 61), (500, 3)])
