@@ -23,7 +23,7 @@ from dataclasses import MISSING, astuple, fields, replace
 
 import numpy as np
 
-from .matcore import EigenSolverError, _fro, symmetrize
+from .matcore import EigenSolverError, _as_array, _fro, symmetrize
 from .metrics import heywood_check
 from . import solvers
 from .simlab import ExperimentConfig, ResultRow, _WorkerDied, run_experiment
@@ -101,6 +101,12 @@ def _read_text(path):
             return fh.read()
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror or exc}") from None
+
+
+def _create(path):
+    """Open ``path`` to write UTF-8 text with no newline translation, making its directory."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    return open(path, "w", encoding="utf-8", newline="")
 
 
 def _floats(tokens, lines, path):
@@ -257,20 +263,18 @@ def _format_row(values, bits):
 
 
 def write_matrix_csv(path, m):
-    """Write a matrix as dense CSV at 17 significant digits.
+    """Write a matrix as dense CSV at 17 significant digits, making the file's directory.
 
     Every finite entry reads back to the same bits. A matrix equal to its
     transpose bit for bit formats its upper triangle only.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
-        raise ValueError(f"write_matrix_csv: expected a 2-D matrix, got shape {m.shape}")
+    m = _as_array(m, "write_matrix_csv", ndim=2)
     bits = m.view(np.uint64)
     nrow, ncol = m.shape
     symmetric = nrow == ncol and np.array_equal(bits, bits.T)
     # column j's strings above the diagonal wait in below[j] until row j
     below = [[] for _ in range(nrow)]
-    with open(path, "w", encoding="utf-8") as fh:
+    with _create(path) as fh:
         for i in range(nrow):
             start = i if symmetric else 0
             pieces = _format_row(m[i, start:], bits[i, start:])
@@ -362,15 +366,14 @@ def cmd_solve(args):
     # strict JSON, built before any file is written: a failure leaves no outputs
     summary_text = json.dumps(summary, indent=2, allow_nan=False) + "\n"
 
-    os.makedirs(args.out, exist_ok=True)
     write_matrix_csv(os.path.join(args.out, "L.csv"), dec.L)
     write_matrix_csv(os.path.join(args.out, "D.csv"), dec.D)
-    with open(os.path.join(args.out, "trace.csv"), "w", encoding="utf-8") as fh:
+    with _create(os.path.join(args.out, "trace.csv")) as fh:
         fh.write("k,objective,fixed_point_residual,psi\n")
         rows = zip(trace.objective, trace.fixed_point_residual, trace.psi)
         for k, (obj, resid, psi) in enumerate(rows, start=1):
             fh.write(f"{k},{_fmt(obj)},{_fmt(resid)},{_fmt(psi)}\n")
-    with open(os.path.join(args.out, "summary.json"), "w", encoding="utf-8") as fh:
+    with _create(os.path.join(args.out, "summary.json")) as fh:
         fh.write(summary_text)
 
     if not dec.converged:
@@ -384,9 +387,7 @@ def cmd_solve(args):
 
 def cmd_simulate(args):
     rows = run_experiment(load_config(args.config), jobs=args.jobs)
-    out_dir = os.path.dirname(os.path.abspath(args.out))
-    os.makedirs(out_dir, exist_ok=True)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    with _create(args.out) as fh:
         fh.write(RESULTS_COMMENT + "\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RESULTS_HEADER)
@@ -516,9 +517,7 @@ def cmd_plot(args):
     params = {row.param for row in rows}
     x_label = params.pop() if len(params) == 1 else "value"
     svg = _render_svg(series, x_label)
-    out_dir = os.path.dirname(os.path.abspath(args.out))
-    os.makedirs(out_dir, exist_ok=True)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with _create(args.out) as fh:
         fh.write(svg)
     print(f"wrote {args.out}")
     return 0

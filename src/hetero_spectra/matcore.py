@@ -4,10 +4,11 @@ Everything here works on plain float ndarrays. Symmetry is treated as an
 exact (bitwise) property, use ``symmetrize`` when an operation such as a
 matrix product can break it in the last ulp.
 
-``_as_int``/``_as_real``, ``_as_square``/``_as_sym`` and ``_as_diag`` are the
-package's one rule for scalar, matrix and diagonal arguments. A scalar is a
-finite ``numbers.Real`` (bool and numpy scalars included), integral for
-``_as_int`` and ``_as_rank``, within the bounds the caller passes. A matrix is
+``_as_int``/``_as_real``, ``_as_array``, ``_as_square``/``_as_sym`` and ``_as_diag``
+are the package's one rule for scalar, array, matrix and diagonal arguments. A
+scalar is a finite ``numbers.Real`` (bool and numpy scalars included), integral for
+``_as_int`` and ``_as_rank``, within the bounds the caller passes. An array is
+numeric, with the ``ndim`` the caller passes and finite where it asks. A matrix is
 numeric, square, of the size ``p`` the caller passes, and for ``_as_sym`` finite
 and exactly symmetric; a diagonal is a finite length-p vector or a (p, p) matrix
 with exactly zero off-diagonal entries, returned as the vector. Anything else raises
@@ -97,11 +98,17 @@ def _as_rank(r, p):
     return _as_int(r, "rank", lo=1, hi=p)
 
 
-def _as_array(m, what):
+def _as_array(m, what, ndim=None, finite=False):
+    """``m`` as a float array, with ``ndim`` dimensions and finite entries where asked."""
     try:
-        return np.asarray(m, dtype=float)
+        m = np.asarray(m, dtype=float)
     except (TypeError, ValueError):  # a string, a ragged list, an object
         raise ValueError(f"{what}: expected a numeric array, got {type(m).__name__}") from None
+    if ndim is not None and m.ndim != ndim:
+        raise ValueError(f"{what}: expected a {ndim}-d array, got shape {m.shape}")
+    if finite and not np.all(np.isfinite(m)):
+        raise ValueError(f"{what}: non-finite entries")
+    return m
 
 
 def _as_square(m, what, p=None):
@@ -190,16 +197,12 @@ def check_orthonormal(u, tol=1e-8, name="basis"):
     (p, r) float ndarray.
     """
     tol = _as_real(tol, f"{name}: tol", ge=0)
-    u = _as_array(u, name)
-    if u.ndim != 2:
-        raise ValueError(f"{name}: expected a 2-d array, got shape {u.shape}")
+    u = _as_array(u, name, ndim=2, finite=True)
     p, r = u.shape
     if r == 0:
         raise ValueError(f"{name}: expected at least one column, got shape {u.shape}")
     if r > p:
         raise ValueError(f"{name}: more columns than rows ({r} > {p})")
-    if not np.all(np.isfinite(u)):
-        raise ValueError(f"{name}: non-finite entries")
     gram = u.T @ u
     if np.max(np.abs(gram - np.eye(r))) > tol:
         raise ValueError(f"{name}: columns are not orthonormal within {tol}")

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import _as_int, _as_real, _as_sym, check_orthonormal, poffdiag, spectral_norm_sym
-from .matcore import symmetrize
+from .matcore import _as_array, symmetrize
 from .solvers import _as_fit
 
 __all__ = [
@@ -65,11 +65,9 @@ def ledermann_bound(p):
 
 def is_balanced(beta):
     """Whether no |beta_i| exceeds the sum of the other magnitudes."""
-    beta = np.asarray(beta, dtype=float)
-    if beta.ndim != 1 or beta.size == 0:
+    beta = _as_array(beta, "is_balanced", ndim=1, finite=True)
+    if beta.size == 0:
         raise ValueError("is_balanced: expected a non-empty 1-d vector")
-    if not np.all(np.isfinite(beta)):
-        raise ValueError("is_balanced: non-finite entries")
     a = np.abs(beta)
     if not a.any():
         raise ValueError("is_balanced: zero vector")

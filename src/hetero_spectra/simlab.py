@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import _as_int, _as_real, _orient, symmetrize
+from .matcore import _as_array, _as_int, _as_real, _orient, symmetrize
 from .metrics import ledermann_bound, sin_theta
 from .solvers import METHOD_TAGS, METHODS, SOFT_METHODS, extract_subspace
 
@@ -235,7 +235,7 @@ def gen_masked(y, theta, rng):
     -------
     (masked, observed) : the masked copy and the boolean keep-mask.
     """
-    y = np.asarray(y, dtype=float)
+    y = _as_array(y, "gen_masked: y")
     theta = _as_real(theta, "gen_masked: theta", gt=0, lt=1)
     observed = rng.uniform(size=y.shape) >= theta
     masked = np.where(observed, y, 0.0)

@@ -176,6 +176,13 @@ def test_write_matrix_csv_rejects_non_2d(tmp_path, shape):
     assert not (tmp_path / "m.csv").exists()
 
 
+def test_write_matrix_csv_makes_a_missing_directory(tmp_path):
+    m = np.array([[1.0, 0.5], [0.5, 2.0]])
+    path = tmp_path / "a" / "b" / "m.csv"
+    write_matrix_csv(str(path), m)
+    assert path.read_text(encoding="utf-8") == _oracle_csv(m)
+
+
 def _spelled(x, k):
     """``x`` as one of three texts that all read back as the same float."""
     x = float(x)
@@ -605,6 +612,20 @@ def test_solve_svd_is_best_rank_r_in_solve_and_simulate(tmp_path, monkeypatch):
     inst = gen_instance(ModelParams(n=20, p=6, r=1, seed=0))
     simlab._fit_basis("svd", replace(inst, sigma=sigma), 1.0)
     assert np.array_equal(fitted[0], L_solve)
+
+
+@pytest.mark.parametrize("out", ["fit", ""], ids=["named", "working-directory"])
+def test_solve_rerun_into_the_same_directory_gives_the_same_bytes(tmp_path, monkeypatch, out):
+    inp = write(tmp_path / "m.csv", "3,1,0.5\n1,2,0.25\n0.5,0.25,1\n")
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    argv = ["solve", "--input", inp, "--method", "rmtfa", "--tau", "0.5", "--out", out]
+    names = ["L.csv", "D.csv", "trace.csv", "summary.json"]
+    assert main(argv) == 0
+    first = [(work / out / name).read_bytes() for name in names]
+    assert main(argv) == 0
+    assert [(work / out / name).read_bytes() for name in names] == first
 
 
 def test_solve_flag_validation(tmp_path):
@@ -1252,3 +1273,24 @@ def test_config_sequence_fields_exit_2(tmp_path, capsys, case):
     assert main([*_SIMULATE, path, "--out", str(out)]) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: ExperimentConfig: {message}"]
     assert not out.exists()
+
+
+def test_every_output_file_is_created_through_one_opener(tmp_path, monkeypatch):
+    created = []
+    create = cli._create
+
+    def spy(path):
+        created.append(os.path.abspath(path))
+        return create(path)
+
+    monkeypatch.setattr(cli, "_create", spy)
+    inp = write(tmp_path / "m.csv", "2,1\n1,2\n")
+    cfg = write(tmp_path / "cfg.json", json.dumps(minimal_config()))
+    outs = tmp_path / "outs"
+    fit, rows, chart = outs / "fit", outs / "sim" / "rows.csv", outs / "plot" / "chart.svg"
+    assert main(["solve", "--input", inp, "--method", "rmtfa", "--tau", "0.5", "--out", str(fit)]) == 0
+    assert main(["simulate", "--config", cfg, "--out", str(rows)]) == 0
+    assert main(["plot", "--input", str(rows), "--out", str(chart)]) == 0
+    written = [os.path.join(d, f) for d, _, files in os.walk(outs) for f in files]
+    assert sorted(created) == sorted(written)
+    assert len(written) == 6

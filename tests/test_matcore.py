@@ -1,4 +1,5 @@
 import math
+import os
 import re
 
 import numpy as np
@@ -21,6 +22,7 @@ from hetero_spectra import (
     heteropca,
     heteropca_psd,
     heywood_check,
+    is_balanced,
     ledermann_bound,
     nuclear_norm_sym,
     numerical_rank_sym,
@@ -38,6 +40,7 @@ from hetero_spectra import (
     spike_pca_sin_theta,
     symmetrize,
 )
+from hetero_spectra.cli import write_matrix_csv
 from oracles import eig2_closed, eig3_closed
 
 
@@ -459,11 +462,14 @@ NUMERIC_ENTRY_POINTS = [
     ("basis", check_orthonormal),
     ("d0", lambda m: rmtfa(_S3, 1.0, d0=m)),
     ("objective_F: D", lambda m: objective_F(_S3, _S3, m, 0.5)),
+    ("is_balanced", is_balanced),
+    ("gen_masked: y", lambda m: gen_masked(m, 0.5, np.random.default_rng(0))),
+    ("write_matrix_csv", lambda m: write_matrix_csv(os.devnull, m)),
 ]
 
 
 @pytest.mark.parametrize(
-    "bad", ["ab", object(), [[1.0, 2.0], [3.0]]], ids=["str", "object", "ragged"]
+    "bad", ["ab", {}, object(), [[1.0, 2.0], [3.0]]], ids=["str", "dict", "object", "ragged"]
 )
 @pytest.mark.parametrize(
     "arg, call", NUMERIC_ENTRY_POINTS, ids=[arg for arg, _ in NUMERIC_ENTRY_POINTS]

@@ -170,7 +170,7 @@ def test_is_balanced():
     "beta, match",
     [
         ([], "^is_balanced: expected a non-empty 1-d vector$"),
-        ([[1.0, 1.0]], "^is_balanced: expected a non-empty 1-d vector$"),
+        ([[1.0, 1.0]], r"^is_balanced: expected a 1-d array, got shape \(1, 2\)$"),
         ([1.0, np.nan], "^is_balanced: non-finite entries$"),
     ],
     ids=["empty", "2-d", "non-finite"],

@@ -36,6 +36,7 @@ from hetero_spectra import (
     symmetrize,
 )
 from hetero_spectra import matcore, shrinkage, solvers
+from hetero_spectra.cli import main, write_matrix_csv
 from hetero_spectra.solvers import METHOD_TAGS, METHODS, SOFT_METHODS
 from oracles import alternating_reference, heteropca_reference, objective_scalar
 
@@ -366,13 +367,15 @@ def _stalling_input(p=256):
     return symmetrize((v * lam) @ v.T), np.linalg.qr(v[:, :9] + 0.3 * v[:, 9:18])[0]
 
 
-def _counted(monkeypatch, *names):
-    """Count the calls of the named ``np.linalg`` functions, by name."""
+def _counted(monkeypatch, *names, rows=None):
+    """Count the calls of the named ``np.linalg`` functions, by name; with ``rows``,
+    only the calls on an array of that many rows."""
     calls = dict.fromkeys(names, 0)
     for name in names:
 
         def counted(a, _real=getattr(np.linalg, name), _name=name):
-            calls[_name] += 1
+            if rows is None or a.shape[0] == rows:
+                calls[_name] += 1
             return _real(a)
 
         monkeypatch.setattr(np.linalg, name, counted)
@@ -593,6 +596,66 @@ def test_partial_spectrum_does_not_give_up_on_a_far_start_blocks_first_rate(p, s
     L, kept, step = shrinkage._prox_with_spectrum(spec, m, warm)
     assert step.partial and kept.size == full_kept.size == 5
     assert np.linalg.norm(L - full_L) <= math.sqrt(2) * shrinkage._PARTIAL_TOL * np.linalg.norm(m)
+
+
+def _stress_matrix(rng, shape, p):
+    """A seeded input for the partial step at tau = 1, with a ``shape`` spectrum.
+
+    Half its eigenvectors are coordinate vectors, so a diagonal drift moves their
+    eigenvalues exactly: it can lift one that a warm block does not hold over tau,
+    or drop a kept one out of the block a step hands on.
+    """
+    k = int(rng.integers(1, 7))
+    if shape == "spiked":
+        top, rest = 1.0 + rng.uniform(0.5, 10.0, k), rng.uniform(-0.5, 0.5, p - k)
+    elif shape == "near":  # lambda_{k+1} 1e-14 to 1e-4 below tau
+        top = 1.0 + rng.uniform(0.1, 5.0, k)
+        rest = np.append(1.0 - 10.0 ** rng.uniform(-14, -4), rng.uniform(-0.5, 0.9, p - k - 1))
+    elif shape == "clustered":  # more eigenvalues just below tau than a warm block holds
+        n = int(rng.integers(9, 25))
+        top = 1.0 + 10.0 ** rng.uniform(-11, -4, k)
+        below = 1.0 - 10.0 ** rng.uniform(-11, -4, n)
+        rest = np.concatenate([below, rng.uniform(-0.5, 0.5, p - k - n)])
+    else:  # flat
+        top, rest = 1.0 + rng.uniform(0.0, 0.05, k), rng.uniform(0.6, 1.0, p - k)
+    q = np.eye(p)
+    q[: p // 2, : p // 2] = np.linalg.qr(rng.standard_normal((p // 2, p // 2)))[0]
+    return symmetrize((q * rng.permutation(np.concatenate([top, rest]))) @ q.T)
+
+
+def test_every_accepted_partial_step_is_within_its_bound_of_the_full_prox():
+    # starts: round 1's seeded block; a full step's block after a one-signed
+    # diagonal drift of 1e-12 to 1e-2 on half the coordinates; and the block
+    # that step hands on, back on the matrix before the drift. On the clustered
+    # spectra, a bound without its drift term or its k >= ref.k guard accepts
+    # steps outside the bound, so those spectra are most of the draws
+    rng = np.random.default_rng(76)
+    spec = ProxSpec.psd_soft(1.0)
+    accepted = dict.fromkeys(["seeded", "drift", "back"], 0)
+
+    def attempt(m, basis, start):
+        out = shrinkage._psd_soft_partial(m, 1.0, basis)
+        if out is not None:
+            accepted[start] += 1
+            bound = math.sqrt(2) * shrinkage._PARTIAL_TOL + 64 * m.shape[0] * np.finfo(float).eps
+            err = np.linalg.norm(out[0] - soft_threshold_psd(m, 1.0))
+            assert err <= bound * np.linalg.norm(m), start
+        return out
+
+    for shape, count in [("spiked", 3), ("near", 3), ("clustered", 36), ("flat", 3)]:
+        for _ in range(count):
+            p = int(rng.choice([128, 160, 192, 256]))
+            m = _stress_matrix(rng, shape, p)
+            attempt(m, shrinkage._seeded_basis(spec, p), "seeded")
+            warm = shrinkage._prox_with_spectrum(spec, m)[2].basis
+            for _ in range(0 if warm is None else 2):
+                drift = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12, -2)
+                m1 = m.copy()
+                m1.reshape(-1)[:: p + 1] += drift * (rng.random(p) < 0.5)
+                out = attempt(m1, warm, "drift")
+                if out is not None and out[2].basis is not None:
+                    attempt(m, out[2].basis, "back")
+    assert accepted["drift"] > 0 and accepted["back"] > 0
 
 
 def test_alternating_nonfinite_iterate_raises(monkeypatch):
@@ -1357,3 +1420,45 @@ def test_each_matrix_argument_is_checked_once(entry, monkeypatch):
         monkeypatch.setattr(module, "_as_sym", counting)
     call(sigma)
     assert len(checked) == matrices, checked
+
+
+# ---------------------------------------------------------------- workload pins
+
+# The work of one op of each benchmark workload in perfbench/workloads.py, from
+# that file's input recipe at one seed: call counts and rounds are exact on any
+# host. A change that alters this work updates the pin and states old -> new.
+
+
+@pytest.mark.parametrize(
+    "seed, rounds, eigh, cholesky, qr", [(1, 9, 1, 2, 35), (2, 10, 1, 2, 37)]
+)
+def test_solve_p500_op_work_is_pinned(seed, rounds, eigh, cholesky, qr, tmp_path, monkeypatch):
+    sigma, _ = factor_sample_cov(seed, 500)
+    tau = 0.02 * float(np.linalg.eigvalsh(poffdiag(sigma))[-1])
+    inp = str(tmp_path / "sigma.csv")
+    write_matrix_csv(inp, sigma)
+    traces = []
+    fit = METHODS["rmtfa"]
+
+    def spy(sigma, tau):
+        dec, trace = fit(sigma, tau)
+        traces.append(trace)
+        return dec, trace
+
+    monkeypatch.setitem(METHODS, "rmtfa", spy)
+    calls = _counted(monkeypatch, "eigh", "cholesky", "qr", rows=500)
+    out = str(tmp_path / "fit")
+    assert main(["solve", "--input", inp, "--method", "rmtfa", "--tau", repr(tau), "--out", out]) == 0
+    (trace,) = traces
+    assert (trace.iterations, trace.partial_accepted, trace.partial_fallbacks) == (rounds, rounds, 0)
+    assert calls == {"eigh": eigh, "cholesky": cholesky, "qr": qr}
+
+
+def test_tau_path_p12_op_work_is_pinned():
+    # op 0 of seed 1: the criterion-6 Gram matrix and the workload's ladder and stop rule
+    b = np.random.default_rng([1, 12, 0]).standard_normal((12, 14))
+    b /= np.linalg.norm(b, axis=1, keepdims=True)
+    sigma = symmetrize(b @ b.T)
+    stop = StopRule(rel_tol=1e-10, max_iter=300000)
+    rounds = [rmtfa(sigma, tau, stop=stop)[1].iterations for tau in (1e-1, 1e-2, 3e-3)]
+    assert rounds == [109, 864, 2848]
