@@ -23,7 +23,7 @@ from dataclasses import MISSING, astuple, fields, replace
 
 import numpy as np
 
-from .matcore import EigenSolverError, _as_array, _fro, symmetrize
+from .matcore import EigenSolverError, _as_array, _as_real, _fro, symmetrize
 from .metrics import heywood_check
 from . import solvers
 from .simlab import ExperimentConfig, ResultRow, _WorkerDied, run_experiment
@@ -414,7 +414,11 @@ def _read_results_csv(path):
         if len(rec) != len(RESULTS_HEADER):
             raise ParseError(f"{path}: row {lineno} has {len(rec)} fields")
         try:
-            rows.append(ResultRow(*(f.type(v) for f, v in zip(_RESULT_FIELDS, rec))))
+            row = ResultRow(*(f.type(v) for f, v in zip(_RESULT_FIELDS, rec)))
+            _as_real(row.value, "value")
+            if not (math.isnan(row.sin_theta) or 0.0 <= row.sin_theta <= 1.0):
+                raise ValueError(f"sin_theta must be NaN or in [0, 1], got {row.sin_theta!r}")
+            rows.append(row)
         except ValueError as exc:
             raise ParseError(f"{path}: row {lineno}: {exc}") from None
     return rows

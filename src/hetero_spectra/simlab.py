@@ -77,7 +77,7 @@ class ModelParams:
         object.__setattr__(self, "omega", _as_real(self.omega, "ModelParams: omega", gt=0))
         if self.r == 1 and self.kappa != 1.0:
             raise ValueError("ModelParams: r = 1 admits no spread, kappa must be 1")
-        object.__setattr__(self, "seed", _as_int(self.seed, "ModelParams: seed"))
+        object.__setattr__(self, "seed", _as_int(self.seed, "ModelParams: seed", lo=0))
         if self.r > ledermann_bound(self.p):
             warnings.warn(
                 f"r = {self.r} exceeds the identifiability bound "
@@ -166,7 +166,7 @@ class ExperimentConfig:
         object.__setattr__(self, "methods", methods)
         replicates = _as_int(self.replicates, "ExperimentConfig: replicates", lo=1)
         object.__setattr__(self, "replicates", replicates)
-        object.__setattr__(self, "seed", _as_int(self.seed, "ExperimentConfig: seed"))
+        object.__setattr__(self, "seed", _as_int(self.seed, "ExperimentConfig: seed", lo=0))
         if isinstance(self.tau_rule, str):
             if self.tau_rule != "sigma_r_sq_over_16":
                 raise ValueError(f"ExperimentConfig: unknown tau_rule {self.tau_rule!r}")

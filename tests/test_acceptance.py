@@ -37,6 +37,7 @@ from hetero_spectra import (
 )
 from hetero_spectra.cli import main
 from hetero_spectra.solvers import pca_baseline
+from inputs import incoherent_factor_instance, random_sym
 from oracles import accelerated_reference, heteropca_reference
 
 
@@ -47,25 +48,11 @@ def report(num, name, ok, detail=""):
     assert ok, f"criterion {num}: {name}{suffix}"
 
 
-def random_corr(rng, p):
-    """Random PSD matrix with unit diagonal (row-normalized Gram)."""
+def random_corr_wide(rng, p):
+    """PSD with unit diagonal: the row-normalized Gram of a p x (p + 2) Gaussian draw."""
     b = rng.standard_normal((p, p + 2))
     b /= np.linalg.norm(b, axis=1, keepdims=True)
     return symmetrize(b @ b.T)
-
-
-def random_sym(rng, p):
-    a = rng.standard_normal((p, p))
-    return symmetrize(a)
-
-
-def incoherent_factor_triple(rng, p=24, r=2, noise=0.05):
-    q, _ = np.linalg.qr(rng.standard_normal((p, r)))
-    vals = np.sort(rng.uniform(3.0, 6.0, size=r))[::-1]
-    L_true = symmetrize((q * vals) @ q.T)
-    D_true = np.diag(rng.uniform(0.5, 1.5, size=p))
-    W = noise * random_sym(rng, p)
-    return L_true, D_true, W
 
 
 def test_criterion_01_fixed_point_certification():
@@ -73,7 +60,7 @@ def test_criterion_01_fixed_point_certification():
     worst = 0.0
     t0 = time.perf_counter()
     for _ in range(20):
-        sigma = random_corr(rng, 20)
+        sigma = random_corr_wide(rng, 20)
         for tau in (0.1, 0.5, 2.0):
             dec, _ = rmtfa(sigma, tau)
             refit = apply_prox(ProxSpec.psd_soft(tau), poffdiag(sigma) + pdiag(dec.L))
@@ -88,7 +75,7 @@ def test_criterion_02_monotone_descent():
     violations = 0
     runs = 0
     for _ in range(6):
-        psd = random_corr(rng, 15)
+        psd = random_corr_wide(rng, 15)
         indef = random_sym(rng, 15)
         for sigma in (psd, indef):
             lam1 = spectral_norm_sym(poffdiag(sigma))
@@ -106,7 +93,7 @@ def test_criterion_03_threshold_shutoff():
     rng = np.random.default_rng(203)
     exact_zero = 0
     for _ in range(10):
-        sigma = random_corr(rng, 12)
+        sigma = random_corr_wide(rng, 12)
         lam1 = float(eig_sym(poffdiag(sigma)).values[0])
         dec, _ = rmtfa(sigma, lam1 * (1.0 + 1e-12))
         exact_zero += int(np.array_equal(dec.L, np.zeros((12, 12))))
@@ -118,8 +105,7 @@ def test_criterion_04_oracle_inequality():
     spectral_viol = 0
     frobenius_viol = 0
     for _ in range(100):
-        L_true, D_true, W = incoherent_factor_triple(rng)
-        sigma = symmetrize(L_true + D_true + W)
+        sigma, L_true, _, W = incoherent_factor_instance(rng)
         tau = 1.01 * spectral_norm_sym(poffdiag(W))
         dec, _ = rmtfa(sigma, tau)
         gap = poffdiag(L_true - dec.L)
@@ -142,7 +128,7 @@ def test_criterion_04_oracle_inequality():
 
 def test_criterion_05_psi_nuclear_monotonicity():
     rng = np.random.default_rng(205)
-    sigma = random_corr(rng, 14)
+    sigma = random_corr_wide(rng, 14)
     lam1 = float(eig_sym(poffdiag(sigma)).values[0])
     taus = np.linspace(0.05, 0.95, 10) * lam1
     psis = []
@@ -191,10 +177,10 @@ def test_criterion_06_mtfa_limit():
 
 def _rate_cases():
     """(name, sigma, tau): the first inputs of criteria 1, 2 and 6, and desk draws."""
-    sigma = random_corr(np.random.default_rng(201), 20)
+    sigma = random_corr_wide(np.random.default_rng(201), 20)
     yield from ((f"c1-tau{tau:g}", sigma, tau) for tau in (0.1, 0.5, 2.0))
     rng = np.random.default_rng(202)
-    for name, sigma in (("c2-psd", random_corr(rng, 15)), ("c2-indef", random_sym(rng, 15))):
+    for name, sigma in (("c2-psd", random_corr_wide(rng, 15)), ("c2-indef", random_sym(rng, 15))):
         lam1 = spectral_norm_sym(poffdiag(sigma))
         yield from ((f"{name}-frac{frac:g}", sigma, frac * lam1) for frac in (0.05, 0.3, 0.7))
     sigma = _criterion_6_gram()
@@ -238,7 +224,7 @@ def test_criterion_07_iteration_equivalence():
     stop = StopRule(rel_tol=5e-324, max_iter=30)
     worst = 0.0
     for trial in range(10):
-        sigma = random_corr(rng, 12)
+        sigma = random_corr_wide(rng, 12)
         r = (1, 3, 5)[trial % 3]
         hp_iterates = heteropca_reference(sigma, r, t_max=30)
         _, trace = alternating_solve(sigma, ProxSpec.rank(r), stop=stop, keep_iterates=True)
@@ -376,8 +362,7 @@ def test_criterion_11_heywood_bisection():
     found = 0
     max_calls = 0
     for _ in range(20):
-        L_true, D_true, W = incoherent_factor_triple(rng, p=16, r=3, noise=0.3)
-        sigma = symmetrize(L_true + D_true + W)
+        sigma = incoherent_factor_instance(rng, p=16, r=3, noise=0.3)[0]
         lam1 = float(eig_sym(poffdiag(sigma)).values[0])
         calls = 0
 
@@ -419,7 +404,7 @@ def test_criterion_12_warm_start_speedup():
     ratios = []
     for seed in range(10):
         rng = np.random.default_rng(2000 + seed)
-        sigma = random_corr(rng, 20)
+        sigma = random_corr_wide(rng, 20)
         p = sigma.shape[0]
         lam1 = spectral_norm_sym(poffdiag(sigma))
         tau_f = 0.02 * lam1

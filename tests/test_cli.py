@@ -36,6 +36,7 @@ from hetero_spectra.cli import (
     parse_matrix,
     write_matrix_csv,
 )
+from inputs import factor_sample_cov
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -775,8 +776,6 @@ def test_large_p_solve_makes_one_full_eigensolve(tmp_path, monkeypatch, case):
     # round 1 starts from a seeded block, an eigenvalue bound carried over
     # the rounds certifies most partial steps, and the summary check starts
     # from the fit's last basis: the one p x p eigh is the last round's
-    from test_solvers import factor_sample_cov
-
     sigma, tau, argv, traces = _crossover_solve(tmp_path, monkeypatch)
     if case == "sample_cov_p300":
         sigma, tau = factor_sample_cov(61, 300)
@@ -808,8 +807,6 @@ def test_every_handed_out_block_is_orthonormal_with_a_reference(tmp_path, monkey
     # a partial step orthonormalizes only a block without a bound (round 1's
     # Gaussian block), so every block a step hands out, over the fit and the
     # summary check, must carry one and be orthonormal
-    from test_solvers import factor_sample_cov
-
     _, _, argv, traces = _crossover_solve(tmp_path, monkeypatch)
     sigma, tau = factor_sample_cov(61, 300)
     write_matrix_csv(argv[2], sigma)
@@ -1233,6 +1230,36 @@ _BAD_INPUTS = {
         _RESULTS_HEAD + "svd,omega,1,0,0.25,0,ok\nsvd,omega,x,0,0.25,0,ok\n",
         1,
         "row 3: could not convert string to float: 'x'",
+    ),
+    "results-value-inf": (
+        _PLOT,
+        _RESULTS_HEAD + "svd,omega,1,0,0.25,0,ok\nsvd,omega,inf,0,0.25,0,ok\n",
+        1,
+        "row 3: value must be a finite number, got inf",
+    ),
+    "results-value-nan": (
+        _PLOT,
+        _RESULTS_HEAD + "svd,omega,nan,0,0.25,0,ok\n",
+        1,
+        "row 2: value must be a finite number, got nan",
+    ),
+    "results-sin-theta-above-1": (
+        _PLOT,
+        _RESULTS_HEAD + "svd,omega,1,0,1.5,0,ok\n",
+        1,
+        "row 2: sin_theta must be NaN or in [0, 1], got 1.5",
+    ),
+    "results-sin-theta-negative": (
+        _PLOT,
+        _RESULTS_HEAD + "svd,omega,1,0,-0.25,0,ok\n",
+        1,
+        "row 2: sin_theta must be NaN or in [0, 1], got -0.25",
+    ),
+    "results-sin-theta-inf": (
+        _PLOT,
+        _RESULTS_HEAD + "svd,omega,1,0,0.25,0,ok\nsvd,omega,2,0,inf,0,error: boom\n",
+        1,
+        "row 3: sin_theta must be NaN or in [0, 1], got inf",
     ),
 }
 

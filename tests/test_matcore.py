@@ -41,12 +41,8 @@ from hetero_spectra import (
     symmetrize,
 )
 from hetero_spectra.cli import write_matrix_csv
+from inputs import random_sym
 from oracles import eig2_closed, eig3_closed
-
-
-def random_sym(rng, p):
-    a = rng.standard_normal((p, p))
-    return (a + a.T) / 2.0
 
 
 def test_pdiag_2x2():
@@ -325,7 +321,7 @@ _BELOW_1 = math.nextafter(1.0, 0.0)
 _S3 = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
 _GT0, _GE0, _GE1 = "a finite number > 0", "a finite number >= 0", "a finite number >= 1"
 _OPEN01, _HALF01 = "a finite number in (0, 1)", "a finite number in [0, 1)"
-_INT1, _RANK3 = "an integer >= 1", "an integer in [1, 3]"
+_INT0, _INT1, _RANK3 = "an integer >= 0", "an integer >= 1", "an integer in [1, 3]"
 
 
 def _rank_cutoff(x):
@@ -372,8 +368,10 @@ RANGED_ENTRY_POINTS = [
     ("ModelParams", "n", lambda x: ModelParams(n=x, p=6, r=1), _INT1, 0, 1),
     ("ModelParams", "kappa", lambda x: ModelParams(n=8, p=6, r=2, kappa=x), _GE1, _BELOW_1, 1),
     ("ModelParams", "omega", lambda x: ModelParams(n=8, p=6, r=2, omega=x), _GT0, 0, _ABOVE_0),
+    ("ModelParams", "seed", lambda x: ModelParams(n=8, p=6, r=2, seed=x), _INT0, -1, 0),
     ("ExperimentConfig", "replicates", lambda x: _config(replicates=x), _INT1, 0, 1),
     ("ExperimentConfig", "tau_rule", lambda x: _config(tau_rule=x), _GT0, 0, _ABOVE_0),
+    ("ExperimentConfig", "seed", lambda x: _config(seed=x), _INT0, -1, 0),
     ("run_experiment", "jobs", lambda x: run_experiment(_config(), jobs=x), _INT1, 0, 1),
     ("gen_masked", "theta", _theta, _OPEN01, 0, _ABOVE_0),
     ("gen_masked", "theta", _theta, _OPEN01, 1, _BELOW_1),

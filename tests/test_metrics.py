@@ -24,12 +24,8 @@ from hetero_spectra import (
     spike_pca_sin_theta,
     symmetrize,
 )
+from inputs import random_orth
 from oracles import pca_sin_oracle
-
-
-def random_orth(rng, p, r):
-    q, _ = np.linalg.qr(rng.standard_normal((p, r)))
-    return q
 
 
 def partition_basis(p, r):

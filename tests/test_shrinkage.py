@@ -11,12 +11,8 @@ from hetero_spectra import (
     soft_threshold_sym,
     symmetrize,
 )
+from inputs import random_sym
 from oracles import prox_oracle_psd, prox_oracle_sym, rank_r_psd_oracle
-
-
-def random_sym(rng, p):
-    a = rng.standard_normal((p, p))
-    return (a + a.T) / 2.0
 
 
 def test_psd_soft_diagonal_example():

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import fields
 
@@ -6,7 +7,6 @@ import pytest
 
 from hetero_spectra import (
     Decomposition,
-    ExperimentConfig,
     ModelParams,
     ProxSpec,
     SolverTrace,
@@ -38,14 +38,16 @@ from hetero_spectra import (
     symmetrize,
 )
 from hetero_spectra import matcore, shrinkage, solvers
-from hetero_spectra.cli import main, write_matrix_csv
+from hetero_spectra.cli import load_config
 from hetero_spectra.solvers import METHOD_TAGS, METHODS, SOFT_METHODS
+from inputs import (
+    factor_sample_cov,
+    incoherent_factor_instance,
+    load_perfbench,
+    random_orth,
+    random_sym,
+)
 from oracles import alternating_reference, heteropca_reference, objective_scalar
-
-
-def random_sym(rng, p):
-    a = rng.standard_normal((p, p))
-    return (a + a.T) / 2.0
 
 
 def random_psd(rng, p, rank=None):
@@ -54,15 +56,11 @@ def random_psd(rng, p, rank=None):
 
 
 def random_corr(rng, p):
-    """PSD with unit diagonal, the working scale of the solvers."""
+    """PSD with unit diagonal, the working scale of the solvers: the
+    row-normalized Gram of a p x p Gaussian draw."""
     b = rng.standard_normal((p, p))
     b /= np.linalg.norm(b, axis=1, keepdims=True)
     return symmetrize(b @ b.T)
-
-
-def random_orth(rng, p, r):
-    q, _ = np.linalg.qr(rng.standard_normal((p, r)))
-    return q
 
 
 def factor_instance(rng, p, r, noise=0.0):
@@ -267,22 +265,6 @@ def test_alternating_solve_bitwise_matches_plain_loop(case, kind, d0_form):
 
 
 # ---------------------------------------------------------------- partial spectrum
-
-
-def factor_sample_cov(seed, p, r=5):
-    """The ``solve-p500`` benchmark input at size p, with its tau.
-
-    The sample covariance of 2p draws of a rank-r factor model with a
-    U[0.5, 1.5] noise diagonal, and ``tau = 0.02 * lambda_1(poffdiag(sigma))``.
-    """
-    n = 2 * p
-    rng = np.random.default_rng([seed, 500])
-    loadings = rng.standard_normal((p, r))
-    factors = rng.standard_normal((n, r))
-    noise_var = rng.uniform(0.5, 1.5, p)
-    x = factors @ loadings.T + rng.standard_normal((n, p)) * np.sqrt(noise_var)
-    sigma = symmetrize(x.T @ x / n)
-    return sigma, 0.02 * float(np.linalg.eigvalsh(poffdiag(sigma))[-1])
 
 
 def _full_path_rmtfa(monkeypatch, sigma, tau, **kwargs):
@@ -915,21 +897,6 @@ def test_rmtfa_zero_sigma():
 # ---------------------------------------------------------------- oracle inequalities
 
 
-def incoherent_factor_instance(rng, p=24, r=2, noise=0.05):
-    """Planted L* with incoherent factors and level-set eigenvalues.
-
-    The 2*tau spectral error bound is tight near coherent or
-    low-signal instances, so the planted family keeps the factors
-    spread out and lambda_r well above the noise.
-    """
-    q = random_orth(rng, p, r)
-    vals = np.sort(rng.uniform(3.0, 6.0, size=r))[::-1]
-    L_true = symmetrize((q * vals) @ q.T)
-    D_true = np.diag(rng.uniform(0.5, 1.5, size=p))
-    W = noise * random_sym(rng, p)
-    return symmetrize(L_true + D_true + W), L_true, D_true, W
-
-
 def test_oracle_inequality_spectral_and_frobenius():
     rng = np.random.default_rng(50)
     for _ in range(10):
@@ -1426,19 +1393,21 @@ def test_each_matrix_argument_is_checked_once(entry, monkeypatch):
 
 # ---------------------------------------------------------------- workload pins
 
-# The work of one op of each benchmark workload in perfbench/workloads.py, from
-# that file's input recipe at one seed: call counts and rounds are exact on any
+# The work of one op of each benchmark workload in perfbench/workloads.py, on
+# that file's own inputs at one seed: call counts and rounds are exact on any
 # host. A change that alters this work updates the pin and states old -> new.
+workloads = load_perfbench("workloads")
 
 
 @pytest.mark.parametrize(
     "seed, rounds, eigh, cholesky, qr", [(1, 9, 1, 2, 35), (2, 10, 1, 2, 37)]
 )
 def test_solve_p500_op_work_is_pinned(seed, rounds, eigh, cholesky, qr, tmp_path, monkeypatch):
-    sigma, _ = factor_sample_cov(seed, 500)
-    tau = 0.02 * float(np.linalg.eigvalsh(poffdiag(sigma))[-1])
-    inp = str(tmp_path / "sigma.csv")
-    write_matrix_csv(inp, sigma)
+    work = workloads.SolveP500(seed, tmp_path)
+    work.setup()
+    # the copy of this recipe that the p = 256 and 300 tests draw from
+    sigma, tau = factor_sample_cov(seed, 500)
+    assert _bits(sigma) == _bits(work.sigma) and _bits(tau) == _bits(work.tau)
     traces = []
     fit = METHODS["rmtfa"]
 
@@ -1449,20 +1418,18 @@ def test_solve_p500_op_work_is_pinned(seed, rounds, eigh, cholesky, qr, tmp_path
 
     monkeypatch.setitem(METHODS, "rmtfa", spy)
     calls = _counted(monkeypatch, "eigh", "cholesky", "qr", rows=500)
-    out = str(tmp_path / "fit")
-    assert main(["solve", "--input", inp, "--method", "rmtfa", "--tau", repr(tau), "--out", out]) == 0
+    rc = work.op(None)
     (trace,) = traces
     assert (trace.iterations, trace.partial_accepted, trace.partial_fallbacks) == (rounds, rounds, 0)
     assert calls == {"eigh": eigh, "cholesky": cholesky, "qr": qr}
+    assert work.verify(None, rc)
 
 
-def test_tau_path_p12_op_work_is_pinned():
-    # op 0 of seed 1: the criterion-6 Gram matrix and the workload's ladder and stop rule
-    b = np.random.default_rng([1, 12, 0]).standard_normal((12, 14))
-    b /= np.linalg.norm(b, axis=1, keepdims=True)
-    sigma = symmetrize(b @ b.T)
-    stop = StopRule(rel_tol=1e-10, max_iter=300000)
-    rounds = [rmtfa(sigma, tau, stop=stop)[1].iterations for tau in (1e-1, 1e-2, 3e-3)]
+def test_tau_path_p12_op_work_is_pinned(tmp_path):
+    # op 0 of seed 1: the criterion-6 Gram matrix, the workload's ladder and its stop rule
+    work = workloads.TauPathP12(1, tmp_path)
+    sigma = work.op_input(0)
+    rounds = [rmtfa(sigma, tau, stop=workloads.PATH_STOP)[1].iterations for tau in work.taus]
     assert rounds == [109, 864, 2848]
 
 
@@ -1473,11 +1440,13 @@ def test_tau_path_p12_op_work_is_pinned():
     [(3.0, [1, 1, 30, 60, 30, 54, 168]), (100.0, [1, 1, 30, 150, 30, 73, 1000])],
     ids=["kappa3", "kappa100"],
 )
-def test_sweep_desk_op_work_is_pinned(kappa, rounds):
-    # replicate 0 of the workload's seed-1 config, one fit per tag as simulate runs it
-    config = ExperimentConfig(
-        n=200, p=50, r=5, omega=1.0, vary_param="kappa", vary_values=(3.0, 100.0), seed=1000
-    )
+def test_sweep_desk_op_work_is_pinned(kappa, rounds, tmp_path):
+    # replicate 0 of the workload's seed-1 config, read as simulate reads it,
+    # one fit per tag as simulate runs it; the workload's setup() is not run,
+    # because it makes a whole reference sweep
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(workloads.SweepDesk(1, tmp_path).config), encoding="utf-8")
+    config = load_config(str(path))
     inst = gen_instance(config.model_at(kappa, 0))
     tau = resolve_tau(config, inst.params)
     fits = [METHODS[tag](inst.sigma, tau if tag in SOFT_METHODS else config.r) for tag in METHOD_TAGS]

@@ -6,19 +6,11 @@ package change that drops one of those names breaks ``perfbench/run.py
 checks every patch point.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+from inputs import load_perfbench
 
 
-def test_tracer_patch_points_resolve(monkeypatch):
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("_perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    points = tracer._patch_points()
+def test_tracer_patch_points_resolve():
+    points = load_perfbench("tracer")._patch_points()
     assert points
     missing = [
         f"{module.__name__}.{attr}"
