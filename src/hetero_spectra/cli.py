@@ -6,10 +6,10 @@ and summary.json into an output directory. ``simulate`` runs a seeded
 Monte-Carlo sweep from a JSON config into a results CSV. ``plot`` renders
 a results CSV to a self-contained SVG.
 
-Exit codes: 0 ok, 1 unreadable input (parse or I/O), 2 invalid arguments
-or config values, or an input whose scale overflows the fit, 3 solver did
-not converge (outputs are still written), 4 the eigensolver failed (no
-outputs written), 5 a sweep's worker process died (no results CSV written).
+Exit codes: 0 ok, 1 unreadable input (parse, I/O or not UTF-8), 2 invalid
+arguments or config values, or an input whose scale overflows the fit, 3
+solver did not converge (outputs are still written), 4 the eigensolver failed
+(no outputs written), 5 a sweep's worker process died (no results CSV written).
 """
 
 import argparse
@@ -96,11 +96,16 @@ def escape(text):
 
 def _read_text(path):
     try:
-        # utf-8-sig drops the byte-order mark spreadsheet tools put first
-        with open(path, encoding="utf-8-sig") as fh:
-            return fh.read()
+        with open(path, encoding="utf-8") as fh:
+            # drop the byte-order mark spreadsheet tools put first
+            return fh.read().removeprefix("\ufeff")
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise ParseError(
+            f"{path}: not UTF-8: byte {byte:#04x} at offset {exc.start} ({exc.reason})"
+        ) from None
 
 
 def _create(path):
@@ -130,12 +135,17 @@ def _floats(tokens, lines, path):
         raise
 
 
+def _data_lines(lines, comment):
+    """``(lineno, line)`` of each line neither blank nor a ``comment`` line, indented or not."""
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.lstrip()
+        if stripped and not stripped.startswith(comment):
+            yield lineno, line
+
+
 def _parse_csv_matrix(text, path):
     lines = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.lstrip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, line in _data_lines(text.splitlines(), "#"):
         tokens = line.split(",")
         if lines and len(tokens) != len(lines[0][1]):
             raise ParseError(
@@ -173,27 +183,21 @@ def _parse_mm_array(text, path):
     if symmetry not in ("general", "symmetric"):
         raise ParseError(f"{at}: unsupported symmetry {symmetry!r}")
 
-    body = []  # (lineno, tokens)
-    dims = None
-    for lineno, line in enumerate(lines[first + 1 :], start=first + 2):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        if dims is None:
-            parts = stripped.split()
-            if len(parts) != 2:
-                raise ParseError(f"{path}: line {lineno}: expected 'rows cols'")
-            try:
-                dims = (int(parts[0]), int(parts[1]))
-            except ValueError:
-                raise ParseError(f"{path}: line {lineno}: non-integer dimensions") from None
-            if dims[0] < 1 or dims[1] < 1:
-                raise ParseError(f"{path}: line {lineno}: dimensions must be positive")
-            continue
-        body.append((lineno, stripped.split()))
-    if dims is None:
+    # the banner is a % line too: the first data line holds the dimensions
+    data = _data_lines(lines, "%")
+    lineno, line = next(data, (None, None))
+    if line is None:
         raise ParseError(f"{path}: missing dimensions line")
-    nrow, ncol = dims
+    parts = line.split()
+    if len(parts) != 2:
+        raise ParseError(f"{path}: line {lineno}: expected 'rows cols'")
+    try:
+        nrow, ncol = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ParseError(f"{path}: line {lineno}: non-integer dimensions") from None
+    if nrow < 1 or ncol < 1:
+        raise ParseError(f"{path}: line {lineno}: dimensions must be positive")
+    body = [(lineno, line.split()) for lineno, line in data]
     if symmetry == "symmetric" and nrow != ncol:
         raise ParseError(f"{path}: symmetric file must be square, got {nrow}x{ncol}")
     expected = nrow * (nrow + 1) // 2 if symmetry == "symmetric" else nrow * ncol
@@ -206,13 +210,11 @@ def _parse_mm_array(text, path):
         # column major
         return np.ascontiguousarray(values.reshape(ncol, nrow).T)
     # lower triangle, column major, diagonal included: the upper triangle in
-    # row-major order, so row i takes its next nrow - i values from the diagonal
+    # row-major order
+    upper = np.triu_indices(nrow)
     a = np.empty((nrow, nrow))
-    start = 0
-    for i in range(nrow):
-        a[i, :i] = a[:i, i]
-        a[i, i:] = values[start : start + nrow - i]
-        start += nrow - i
+    a[upper] = values
+    a.T[upper] = values
     return a
 
 
@@ -227,7 +229,7 @@ def parse_matrix(path):
     text = _read_text(path)
     parse = _parse_mm_array if text.lstrip().startswith("%%MatrixMarket") else _parse_csv_matrix
     a = parse(text, path)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.shape[0] != a.shape[1]:
         raise ParseError(f"{path}: matrix is {a.shape[0]}x{a.shape[1]}, expected square")
     if not np.all(np.isfinite(a)):
         raise ParseError(f"{path}: matrix has non-finite entries")
@@ -308,11 +310,14 @@ def _check_keys(path, obj, known, required, what, missing):
 
 def load_config(path):
     """Load an :class:`ExperimentConfig` from JSON, rejecting unknown fields."""
+    text = _read_text(path)
     try:
-        raw = json.loads(_read_text(path))
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         # config problems are argument-class errors (exit 2), not exit 1
         raise ValueError(f"{path}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"{path}: invalid JSON: nested too deeply") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     _check_keys(path, raw, _CONFIG_KEYS, _REQUIRED_KEYS, "config", "required config")
@@ -401,16 +406,19 @@ def cmd_simulate(args):
 
 
 def _read_results_csv(path):
-    lines = [ln for ln in _read_text(path).splitlines() if ln.strip() and not ln.startswith("#")]
+    lines = [line for _, line in _data_lines(_read_text(path).splitlines(), "#")]
     if not lines:
         raise ParseError(f"{path}: missing header line")
     reader = csv.reader(lines)
-    header = next(reader)
+    try:
+        header, *records = reader
+    except csv.Error as exc:
+        raise ParseError(f"{path}: row {reader.line_num}: {exc}") from None
     if header != RESULTS_HEADER:
         raise ParseError(f"{path}: unexpected header {header!r}")
     # a header with no rows parses fine; emptiness is the caller's call
     rows = []
-    for lineno, rec in enumerate(reader, start=2):
+    for lineno, rec in enumerate(records, start=2):
         if len(rec) != len(RESULTS_HEADER):
             raise ParseError(f"{path}: row {lineno} has {len(rec)} fields")
         try:
@@ -437,16 +445,11 @@ def _series_from_rows(rows):
     }
 
 
-def _render_svg(series, x_label):
+def _render_svg(series, x_label, xmin, xmax):
     width, height = 720, 440
     ml, mr, mt, mb = 72, 168, 36, 58
     pw, ph = width - ml - mr, height - mt - mb
-    xs = [x for pts in series.values() for x, _ in pts]
     ys = [y for pts in series.values() for _, y in pts]
-    xmin, xmax = min(xs), max(xs)
-    if xmin == xmax:
-        xmin -= 0.5 if xmin == 0 else abs(xmin) * 0.5
-        xmax += 0.5 if xmax == 0 else abs(xmax) * 0.5
     ymin = 0.0
     ymax = max(ys) * 1.05 if max(ys) > 0 else 1.0
 
@@ -520,7 +523,15 @@ def cmd_plot(args):
         raise ValueError(f"{args.input}: no plottable rows (all failed or empty)")
     params = {row.param for row in rows}
     x_label = params.pop() if len(params) == 1 else "value"
-    svg = _render_svg(series, x_label)
+    xs = [x for pts in series.values() for x, _ in pts]
+    xmin, xmax = min(xs), max(xs)
+    if xmin == xmax:
+        xmin -= 0.5 if xmin == 0 else abs(xmin) * 0.5
+        xmax += 0.5 if xmax == 0 else abs(xmax) * 0.5
+    if not math.isfinite(xmax - xmin):
+        span = f"[{min(xs):g}, {max(xs):g}]"
+        raise ParseError(f"{args.input}: value range {span} overflows the x axis")
+    svg = _render_svg(series, x_label, xmin, xmax)
     with _create(args.out) as fh:
         fh.write(svg)
     print(f"wrote {args.out}")

@@ -1041,6 +1041,18 @@ def test_bom_results_csv(tmp_path):
     assert cli._read_results_csv(bom) == want
 
 
+def test_results_csv_skips_blank_and_comment_lines_indented_too(tmp_path):
+    cfg = write(tmp_path / "cfg.json", json.dumps(minimal_config(replicates=2)))
+    out = tmp_path / "rows.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    want = cli._read_results_csv(str(out))
+    lines = out.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[2:2] = ["  # note\n", "\n"]
+    lines += [" \n", "\t# end\n"]
+    noted = write(tmp_path / "noted.csv", "".join(lines))
+    assert cli._read_results_csv(noted) == want
+
+
 # ---------------------------------------------------------------- plot
 
 
@@ -1217,6 +1229,7 @@ _BAD_INPUTS = {
         "symmetric file must be square, got 2x3",
     ),
     "config-not-object": (_SIMULATE, "[]", 2, "config must be a JSON object"),
+    "config-too-deep": (_SIMULATE, "[" * 10_000, 2, "invalid JSON: nested too deeply"),
     "config-vary-not-object": (
         _SIMULATE,
         json.dumps(minimal_config(vary=[])),
@@ -1261,6 +1274,30 @@ _BAD_INPUTS = {
         1,
         "row 3: sin_theta must be NaN or in [0, 1], got inf",
     ),
+    "results-header-field-too-long": (
+        _PLOT,
+        "x" * 200_000 + "\n",
+        1,
+        "row 1: field larger than field limit (131072)",
+    ),
+    "results-field-too-long": (
+        _PLOT,
+        _RESULTS_HEAD + "svd,omega,1,0,0.25,0," + "x" * 200_000 + "\n",
+        1,
+        "row 2: field larger than field limit (131072)",
+    ),
+    "results-x-range-overflow": (
+        _PLOT,
+        _RESULTS_HEAD + "svd,omega,-1e308,0,0.25,0,ok\nsvd,omega,1e308,0,0.5,0,ok\n",
+        1,
+        "value range [-1e+308, 1e+308] overflows the x axis",
+    ),
+    "results-x-value-overflow": (
+        _PLOT,
+        _RESULTS_HEAD + "svd,omega,1.7e308,0,0.25,0,ok\n",
+        1,
+        "value range [1.7e+308, 1.7e+308] overflows the x axis",
+    ),
 }
 
 
@@ -1270,6 +1307,20 @@ def test_bad_input_file_exits_with_one_error_line(tmp_path, capsys, case):
     path = write(tmp_path / "input", text)
     out = tmp_path / "out"
     assert main([*command, path, "--out", str(out)]) == code
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}: {message}"]
+    assert not out.exists()
+
+
+# _BAD_INPUTS writes text; these files hold a byte that is not UTF-8
+@pytest.mark.parametrize("bom", [b"", BOM.encode()], ids=["plain", "bom"])
+@pytest.mark.parametrize("command", [_SOLVE, _SIMULATE, _PLOT], ids=["solve", "simulate", "plot"])
+def test_non_utf8_input_file_exits_1_naming_the_byte(tmp_path, capsys, command, bom):
+    path = tmp_path / "input"
+    path.write_bytes(bom + b"abcd\xff\n")
+    out = tmp_path / "out"
+    assert main([*command, str(path), "--out", str(out)]) == 1
+    # the offset counts from the first byte of the file, a byte-order mark included
+    message = f"not UTF-8: byte 0xff at offset {len(bom) + 4} (invalid start byte)"
     assert capsys.readouterr().err.splitlines() == [f"error: {path}: {message}"]
     assert not out.exists()
 
