@@ -178,7 +178,7 @@ def _parse_mm_array(text, path):
     _, obj, fmt, field, symmetry = (w.lower() for w in header)
     if obj != "matrix" or fmt != "array":
         raise ParseError(f"{at}: only 'matrix array' files are supported")
-    if field not in ("real", "integer"):
+    if field != "real":
         raise ParseError(f"{at}: unsupported field {field!r}")
     if symmetry not in ("general", "symmetric"):
         raise ParseError(f"{at}: unsupported symmetry {symmetry!r}")

@@ -1,9 +1,11 @@
 """Solvers for the decomposition of a covariance into low-rank plus diagonal.
 
-Every method runs through one loop core, ``_run``, which alternates a
-spectral step ``L = prox(sigma - D)`` with the exact refit
-``D = pdiag(sigma - L)`` from a checked diagonal. :func:`alternating_solve`
-is its public form. A method is the choice of prox, start and stop:
+Every method runs one driver, ``_run``, that repeats one round, ``_round``.
+A round takes the spectral step ``L = prox(sigma - D)`` at a checked
+diagonal and the exact refit ``D = pdiag(sigma - L)``. The driver checks
+the objective, records the trace, tests the stop rule and starts the next
+round from the refit. :func:`alternating_solve` is its public form. A
+method is the choice of prox, start and stop:
 
     tag        prox             start                 stop
     rmtfa      psd_soft(tau)    D_0 = pdiag(sigma)    tolerance, StopRule()
@@ -29,7 +31,7 @@ is its tag, and ``iterations`` counts the rounds run (summed over the
 ``dhpca`` stages). Each fit checks its matrix once and builds its
 ``Decomposition`` once, in ``_fit``: ``rmtfa`` and ``soft_impute_diag``
 through :func:`alternating_solve`, the fixed-budget fits directly, except
-``dhpca``, which runs ``_run`` once per stage on a shared trace.
+``dhpca``, which runs the driver once per stage on a shared trace.
 """
 
 import math
@@ -177,14 +179,16 @@ def alternating_solve(sigma, prox, d0=None, stop=None, keep_iterates=False):
     until the stop rule fires. Each half-step is an exact minimization of
     the objective in one block, so the recorded objective never increases.
 
-    The arguments are checked once, on entry. The loop, ``_run``, holds ``D`` as
-    its length-p diagonal and calls the unchecked spectral step of
+    The arguments are checked once, on entry. ``D`` is held as its length-p
+    diagonal. Each round, ``_round``, calls the unchecked spectral step of
     :mod:`hetero_spectra.shrinkage`, which assumes a finite, exactly
-    symmetric matrix. ``sigma - D`` is exactly symmetric by construction and
-    its off-diagonal entries are ``sigma``'s, so only its diagonal is checked
-    for finiteness on each iteration; a non-finite entry raises
-    ``ValueError``. So does a round whose objective or residual is not
-    finite, as when the input's scale overflows the norms.
+    symmetric matrix, and refits ``D``. ``sigma - D`` is exactly symmetric by
+    construction and its off-diagonal entries are ``sigma``'s, so the round
+    checks only its diagonal for finiteness; a non-finite entry raises
+    ``ValueError``. The driver, ``_run``, checks each round's objective,
+    records the trace and tests the stop rule; it raises ``ValueError`` too
+    for a round whose objective or residual is not finite, as when the
+    input's scale overflows the norms.
 
     For ``psd_soft`` at large p with few kept eigenpairs, every iteration
     may take the certified partial-spectrum step of
@@ -248,51 +252,60 @@ def _fit(op, tag, sigma, prox, rel_tol, max_iter, start=None, keep_iterates=Fals
     return Decomposition(L, np.diag(d), tag, param, trace.converged, trace.iterations), trace
 
 
-def _run(op, sigma, prox, d, rel_tol, max_iter, trace):
-    """The alternating loop from the diagonal ``d``; returns the final ``(L, d)``.
+def _round(op, sigma, prox, M, d, basis, L_prev, tol, last):
+    """One round at ``d``: ``L = prox(sigma - diag(d))``, built in ``M``, and the refit of ``d``.
 
-    ``sigma`` must be checked, ``d`` a finite length-p vector and, for the
-    rank kinds, ``prox.r <= p``. It stops by the :class:`StopRule` test on
-    ``rel_tol`` and ``max_iter``; a fixed budget is ``rel_tol = 0``, which
-    stops early only at an exact fixed point and counts as converged. Each
-    round's objective is checked against the previous one; errors name
-    ``op``. The run appends to ``trace`` a row per round, its round count to
-    ``iterations``, and ``stop_reason``, ``kept`` and ``converged`` from its
-    last round.
+    A partial step from ``basis`` that the fit would return (``resid = ||L - L_prev||_F <=
+    tol``, or the ``last`` round) is redone with the full operator. Returns ``(L, kept,
+    step, partial, d, resid, psi, objective)``, with ``partial`` from the first attempt."""
+    m_diag = M.reshape(-1)[:: len(M) + 1]
+    np.subtract(sigma.diagonal(), d, out=m_diag)
+    if not np.isfinite(m_diag).all():
+        raise ValueError(f"{op}: sigma - D has non-finite entries")
+    L, kept, step = _prox_with_spectrum(prox, M, basis)
+    partial = step.partial
+    resid = _fro(L - L_prev)
+    if partial and (resid <= tol or last):
+        # re-certify the step with the full operator on the same M
+        L, kept, step = _prox_with_spectrum(prox, M)
+        resid = _fro(L - L_prev)
+    # C order: the diagonal view writes into R, summed as poffdiag's C-order copy
+    R = np.subtract(sigma, L, order="C")
+    r_diag = R.reshape(-1)[:: len(R) + 1]
+    d = r_diag.copy()
+    r_diag[:] = 0.0  # R is now poffdiag(sigma - L)
+    psi = float((R**2).sum())
+    return L, kept, step, partial, d, resid, psi, _penalty(prox, kept) + 0.5 * psi
+
+
+def _run(op, sigma, prox, d, rel_tol, max_iter, trace):
+    """The driver: :func:`_round` from the diagonal ``d``, then from each round's refit.
+
+    ``sigma`` must be checked, ``d`` a finite length-p vector and, for the rank kinds,
+    ``prox.r <= p``. Returns the final ``(L, d)``. It stops by the :class:`StopRule` test
+    on ``rel_tol`` and ``max_iter``; a fixed budget is ``rel_tol = 0``, which stops early
+    only at an exact fixed point and counts as converged. Each round's objective is
+    checked against the previous one; errors name ``op``. The run appends to ``trace`` a
+    row per round, its round count to ``iterations``, its partial-step counts, and
+    ``stop_reason``, ``kept`` and ``converged`` from its last round.
     """
     p = sigma.shape[0]
-    sigma_diag = np.diagonal(sigma)
     M = sigma.copy()  # sigma - diag(d): only its diagonal changes
-    m_diag = M.reshape(-1)[:: p + 1]
-    m_diag[:] = 0.0  # D absorbs sigma's diagonal; round 1 overwrites M's
+    M.reshape(-1)[:: p + 1] = 0.0  # D absorbs sigma's diagonal; round 1 overwrites M's
     top = max(M.max(initial=0.0), -M.min(initial=0.0))
     scale = math.ldexp(0.5, math.frexp(top)[1])  # floors the stop and objective tests
     L_prev = np.zeros_like(sigma)
     prev_norm = 0.0
     basis = _seeded_basis(prox, p)
     for k in range(1, max_iter + 1):
-        np.subtract(sigma_diag, d, out=m_diag)
-        if not np.isfinite(m_diag).all():
-            raise ValueError(f"{op}: sigma - D has non-finite entries")
-        L, kept, step = _prox_with_spectrum(prox, M, basis)
-        resid = _fro(L - L_prev)
         tol = rel_tol * max(scale, prev_norm)
+        L, kept, step, partial, d, resid, psi, objective = _round(
+            op, sigma, prox, M, d, basis, L_prev, tol, k == max_iter
+        )
         if basis is not None:
-            trace.partial_accepted += step.partial
-            trace.partial_fallbacks += not step.partial
-        if step.partial and (resid <= tol or k == max_iter):
-            # re-certify the last step with the full operator on the same M
-            L, kept, step = _prox_with_spectrum(prox, M)
-            resid = _fro(L - L_prev)
+            trace.partial_accepted += partial
+            trace.partial_fallbacks += not partial
         basis = step.basis
-        # C order: the diagonal view below writes into R, and R is summed
-        # in the order of poffdiag's C-order copy
-        R = np.subtract(sigma, L, order="C")
-        r_diag = R.reshape(-1)[:: p + 1]
-        d = r_diag.copy()
-        r_diag[:] = 0.0  # R is now poffdiag(sigma - L)
-        psi = float((R**2).sum())
-        objective = _penalty(prox, kept) + 0.5 * psi
         # an overflowed norm makes the tolerance test meaningless
         if not (math.isfinite(objective) and math.isfinite(resid)):
             raise ValueError(

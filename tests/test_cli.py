@@ -1217,6 +1217,12 @@ _BAD_INPUTS = {
         1,
         "line 1: unsupported field 'complex'",
     ),
+    "mm-field-integer": (
+        _SOLVE,
+        "%%MatrixMarket matrix array integer general\n1 1\n1.5\n",
+        1,
+        "line 1: unsupported field 'integer'",
+    ),
     "mm-symmetry": (_SOLVE, _MM + "hermitian\n1 1\n1\n", 1, "line 1: unsupported symmetry 'hermitian'"),
     "mm-dims-tokens": (_SOLVE, _MM + "general\n% c\n2 2 2\n", 1, "line 3: expected 'rows cols'"),
     "mm-dims-integer": (_SOLVE, _MM + "general\n2 x\n", 1, "line 2: non-integer dimensions"),

@@ -304,6 +304,24 @@ def test_partial_spectrum_path_matches_full_path(case, monkeypatch):
     assert _numerical_rank(trace.kept) == numerical_rank_sym(dec.L) > 0
 
 
+@pytest.mark.parametrize(
+    "stop, reason",
+    [(StopRule(), "converged"), (StopRule(max_iter=3), "max_iter")],
+    ids=["converged", "capped"],
+)
+def test_returned_pair_and_last_row_come_from_the_full_operator(stop, reason):
+    # every step here is partial, so the last one, at convergence or at the
+    # cap, is redone with the full operator and its residual recomputed
+    sigma, tau = factor_sample_cov(61, 300)
+    dec, trace = rmtfa(sigma, tau, stop=stop, keep_iterates=True)
+    assert trace.stop_reason == reason
+    assert trace.partial_accepted == trace.iterations
+    m_last = sigma.copy()
+    np.fill_diagonal(m_last, np.diagonal(sigma) - np.diagonal(sigma - trace.iterates[-2]))
+    assert np.array_equal(dec.L, soft_threshold_psd(m_last, tau))
+    assert trace.fixed_point_residual[-1] == np.linalg.norm(dec.L - trace.iterates[-2])
+
+
 def _assert_same_solve(got, want):
     (dec, trace), (ref, ref_trace) = got, want
     assert dec.iterations == ref.iterations and trace.stop_reason == ref_trace.stop_reason
