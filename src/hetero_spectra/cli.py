@@ -23,11 +23,10 @@ from dataclasses import MISSING, astuple, fields, replace
 
 import numpy as np
 
-from .matcore import EigenSolverError, _as_array, _as_real, _fro, symmetrize
+from .matcore import EigenSolverError, _as_array, _as_real, symmetrize
 from .metrics import heywood_check
-from . import solvers
 from .simlab import ExperimentConfig, ResultRow, _WorkerDied, run_experiment
-from .solvers import METHOD_TAGS, METHODS, SOFT_METHODS, _numerical_rank
+from .solvers import METHOD_TAGS, METHODS, SOFT_METHODS, _numerical_rank, _refit_residual
 
 # solve runs its fit through METHODS. The names below stay bound here only
 # because perfbench/tracer.py patches them on this module for its traced
@@ -332,7 +331,6 @@ def load_config(path):
 
 
 def cmd_solve(args):
-    sigma = parse_matrix(args.input)
     method = args.method
     soft = method in SOFT_METHODS
     given = {"--tau": args.tau, "--rank": args.rank}
@@ -342,6 +340,7 @@ def cmd_solve(args):
     if given[other] is not None:
         raise ValueError(f"{other} is not accepted for method {method}")
     param = given[flag]
+    sigma = parse_matrix(args.input)
 
     # an overflowing scale is reported once, by the fit's finite check
     with np.errstate(over="ignore", invalid="ignore"):
@@ -362,12 +361,7 @@ def cmd_solve(args):
         "stop_reason": trace.stop_reason,
     }
     if soft:
-        # a check of the returned pair, prox(sigma - D), warm-started from the
-        # fit's last basis; looked up on solvers, where perfbench/tracer.py times it
-        spec = SOFT_METHODS[method](param)
-        refit = solvers._prox_with_spectrum(spec, sigma - dec.D, trace.warm)[0]
-        summary["fixed_point_residual"] = _fro(dec.L - refit)
-        del refit  # not held through the writes below
+        summary["fixed_point_residual"] = _refit_residual(sigma, dec, trace)
     # strict JSON, built before any file is written: a failure leaves no outputs
     summary_text = json.dumps(summary, indent=2, allow_nan=False) + "\n"
 

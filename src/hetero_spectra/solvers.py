@@ -28,10 +28,10 @@ point, when a further round would repeat it bit for bit, and counts as
 converged, having no tolerance to miss. Its trace reads ``stop_reason ==
 "max_iter"`` when the budget ran out. The fit's ``Decomposition.method``
 is its tag, and ``iterations`` counts the rounds run (summed over the
-``dhpca`` stages). Each fit checks its matrix once and builds its
-``Decomposition`` once, in ``_fit``: ``rmtfa`` and ``soft_impute_diag``
-through :func:`alternating_solve`, the fixed-budget fits directly, except
-``dhpca``, which runs the driver once per stage on a shared trace.
+``dhpca`` stages). Every fit checks its matrix once and builds its
+``Decomposition`` once, in ``_fit``, which runs a driver: ``_run``, or for
+``dhpca`` the stage driver, which runs ``_run`` once per stage on the fit's
+one trace.
 """
 
 import math
@@ -235,23 +235,6 @@ def alternating_solve(sigma, prox, d0=None, stop=None, keep_iterates=False):
     )
 
 
-def _fit(op, tag, sigma, prox, rel_tol, max_iter, start=None, keep_iterates=False, p=None):
-    """The fit ``tag`` of ``prox`` on ``sigma``: ``(Decomposition, SolverTrace)``.
-
-    Checks ``sigma`` (of size ``p``, where given) and a rank kind's ``r``, naming ``op`` in
-    errors, and runs ``_run`` from ``D_0 = start(p)`` where given, else from ``pdiag(sigma)``.
-    """
-    sigma = _as_sym(sigma, op, p)
-    p = sigma.shape[0]
-    if prox.r is not None:
-        _as_rank(prox.r, p)
-    d = np.diagonal(sigma) if start is None else start(p)
-    trace = SolverTrace(iterates=[] if keep_iterates else None)
-    L, d = _run(op, sigma, prox, d, rel_tol, max_iter, trace)
-    param = prox.tau if prox.tau is not None else prox.r
-    return Decomposition(L, np.diag(d), tag, param, trace.converged, trace.iterations), trace
-
-
 def _round(op, sigma, prox, M, d, basis, L_prev, tol, last):
     """One round at ``d``: ``L = prox(sigma - diag(d))``, built in ``M``, and the refit of ``d``.
 
@@ -338,6 +321,32 @@ def _run(op, sigma, prox, d, rel_tol, max_iter, trace):
     return L, d
 
 
+def _fit(
+    op, tag, sigma, prox, rel_tol, max_iter, start=None, keep_iterates=False, p=None, run=_run
+):
+    """The fit ``tag`` of ``prox`` on ``sigma``: ``(Decomposition, SolverTrace)``.
+
+    Checks ``sigma`` (of size ``p``, where given) and a rank kind's ``r``, naming ``op`` in
+    errors, and runs the driver ``run`` (``_run``, or ``dhpca``'s from :func:`_staged`) on a
+    fresh trace from ``D_0 = start(p)`` where given, else from ``pdiag(sigma)``.
+    """
+    sigma = _as_sym(sigma, op, p)
+    p = sigma.shape[0]
+    if prox.r is not None:
+        _as_rank(prox.r, p)
+    d = np.diagonal(sigma) if start is None else start(p)
+    trace = SolverTrace(iterates=[] if keep_iterates else None)
+    L, d = run(op, sigma, prox, d, rel_tol, max_iter, trace)
+    param = prox.tau if prox.tau is not None else prox.r
+    return Decomposition(L, np.diag(d), tag, param, trace.converged, trace.iterations), trace
+
+
+def _refit_residual(sigma, dec, trace):
+    """``||L - prox(sigma - D)||_F`` of a soft fit, the prox warm-started from its trace."""
+    spec = SOFT_METHODS[dec.method](dec.param)
+    return _fro(dec.L - _prox_with_spectrum(spec, sigma - dec.D, trace.warm)[0])
+
+
 def rmtfa(sigma, tau, stop=None, d0=None, keep_iterates=False):
     """Nuclear-norm penalized fit with L restricted to the PSD cone.
 
@@ -398,37 +407,34 @@ def heteropca(sigma, r, t_max=_ROUNDS, g0=None, keep_iterates=False):
     return dec.L, G
 
 
-def _deflated_run(sigma, r, rounds):
-    """dhpca: ``(Decomposition, SolverTrace, stage ranks)``.
+def _staged(stage_ranks):
+    """The ``dhpca`` driver, up to rank ``prox.r``: it appends each stage's rank to ``stage_ranks``.
 
-    Each stage is one fixed-budget ``_run`` of ``rank(r_k)`` from the
-    previous stage's ``d``, appending its rounds to the one trace; each
-    stage's first residual follows the ``L_0 = 0`` rule.
+    Each stage is one ``_run`` of ``rank(r_k)`` from the previous stage's ``d``, appending its
+    rounds to the one trace; each stage's first residual follows the ``L_0 = 0`` rule.
     """
-    sigma = _as_sym(sigma, "deflated_heteropca")
-    r = _as_rank(r, sigma.shape[0])
-    trace = SolverTrace()
-    d = np.diagonal(sigma)
-    r_prev = 0
-    stage_ranks = []
-    while r_prev < r:
-        g = sigma - np.diag(d)
-        svals = np.sort(np.abs(_eigensolve(np.linalg.eigvalsh, g, "deflated_heteropca")))[::-1]
-        svals = np.append(svals, 0.0)  # sigma_{p+1} := 0
-        top = svals[r_prev]
-        r_k = r  # sup of an empty candidate set
-        for cand in range(r, r_prev, -1):
-            s_c = svals[cand - 1]
-            if s_c <= 0.0:
-                continue
-            if top / s_c <= 4.0 and (s_c - svals[cand]) / s_c >= 1.0 / r:
-                r_k = cand
-                break
-        L, d = _run("deflated_heteropca", sigma, ProxSpec.rank(r_k), d, 0.0, rounds, trace)
-        stage_ranks.append(r_k)
-        r_prev = r_k
-    dec = Decomposition(L, np.diag(d), "dhpca", r, trace.converged, trace.iterations)
-    return dec, trace, stage_ranks
+
+    def run(op, sigma, prox, d, rel_tol, max_iter, trace):
+        r_prev = 0
+        while r_prev < prox.r:
+            g = sigma - np.diag(d)
+            svals = np.sort(np.abs(_eigensolve(np.linalg.eigvalsh, g, op)))[::-1]
+            svals = np.append(svals, 0.0)  # sigma_{p+1} := 0
+            top = svals[r_prev]
+            r_k = prox.r  # sup of an empty candidate set
+            for cand in range(prox.r, r_prev, -1):
+                s_c = svals[cand - 1]
+                if s_c <= 0.0:
+                    continue
+                if top / s_c <= 4.0 and (s_c - svals[cand]) / s_c >= 1.0 / prox.r:
+                    r_k = cand
+                    break
+            L, d = _run(op, sigma, ProxSpec.rank(r_k), d, rel_tol, max_iter, trace)
+            stage_ranks.append(r_k)
+            r_prev = r_k
+        return L, d
+
+    return run
 
 
 def deflated_heteropca(sigma, r, t_max_per_stage=_ROUNDS, return_stages=False):
@@ -454,7 +460,9 @@ def deflated_heteropca(sigma, r, t_max_per_stage=_ROUNDS, return_stages=False):
         With ``return_stages=True``, ``(L, stage_ranks)``.
     """
     rounds = _as_int(t_max_per_stage, "deflated_heteropca: t_max_per_stage", lo=1)
-    dec, _, stage_ranks = _deflated_run(sigma, r, rounds)
+    stage_ranks = []
+    run = _staged(stage_ranks)
+    dec, _ = _fit("deflated_heteropca", "dhpca", sigma, ProxSpec.rank(r), 0.0, rounds, run=run)
     if return_stages:
         return dec.L, stage_ranks
     return dec.L
@@ -482,7 +490,9 @@ METHODS = {
     "svd": lambda sigma, r: _fit("svd", "svd", sigma, ProxSpec.rank(r), 0.0, 1, np.zeros),
     "dd": lambda sigma, r: _fit("dd", "dd", sigma, ProxSpec.rank(r), 0.0, 1),
     "hpca": lambda sigma, r: _fit("hpca", "hpca", sigma, ProxSpec.rank(r), 0.0, _ROUNDS),
-    "dhpca": lambda sigma, r: _deflated_run(sigma, r, _ROUNDS)[:2],
+    "dhpca": lambda sigma, r: _fit(
+        "deflated_heteropca", "dhpca", sigma, ProxSpec.rank(r), 0.0, _ROUNDS, run=_staged([])
+    ),
     "hpca_plus": lambda sigma, r: _fit(
         "hpca_plus", "hpca_plus", sigma, ProxSpec.rank_psd(r), 0.0, _ROUNDS
     ),

@@ -638,6 +638,13 @@ def test_solve_flag_validation(tmp_path):
     assert main(["solve", "--input", inp, "--method", "hpca", "--tau", "1", "--out", out]) == 2
 
 
+def test_solve_checks_its_flags_before_reading_the_input(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["solve", "--input", str(tmp_path / "missing.csv"), "--method", "rmtfa", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: --tau is required for method rmtfa"]
+    assert not out.exists()
+
 def test_solve_asymmetric_exit_code(tmp_path, capsys):
     inp = write(tmp_path / "m.csv", "1,1.001\n1,1\n")
     ret = main(["solve", "--input", inp, "--method", "rmtfa", "--tau", "0.5", "--out", str(tmp_path / "o")])

@@ -1409,6 +1409,34 @@ def test_each_matrix_argument_is_checked_once(entry, monkeypatch):
     assert len(checked) == matrices, checked
 
 
+@pytest.mark.parametrize(
+    "entry, tag",
+    [
+        ("alternating_solve", "rmtfa"),
+        ("rmtfa", "rmtfa"),
+        ("soft_impute_diag", "si"),
+        ("heteropca", "hpca"),
+        ("heteropca(g0)", "hpca"),
+        ("heteropca_psd", "hpca_plus"),
+        ("deflated_heteropca", "dhpca"),
+        ("diag_deleted_pca", "dd"),
+    ]
+    + [(f"METHODS[{tag}]", tag) for tag in METHOD_TAGS],
+)
+def test_each_fit_is_built_once_by_fit(entry, tag, monkeypatch):
+    call, _ = _MATRIX_ENTRY_POINTS[entry]
+    tags = []
+    real = solvers._fit
+
+    def counting(op, tag, *args, **kwargs):
+        tags.append(tag)
+        return real(op, tag, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "_fit", counting)
+    call(random_corr(np.random.default_rng(74), 6))
+    assert tags == [tag]
+
+
 # ---------------------------------------------------------------- workload pins
 
 # The work of one op of each benchmark workload in perfbench/workloads.py, on
