@@ -200,11 +200,6 @@ class _Warm(NamedTuple):
     ``beta + max(diag(m) - diag)``. Every handed-out block has one and is
     orthonormal. ``k`` None marks round 1's Gaussian block, which has no bound
     and is orthonormalized on entry.
-
-    ``basis[1:]`` is the bound as the triple ``(k, beta, diag)``, in field
-    order: ``_margin_bound`` and the full step's ``bound()`` build it in that
-    order, and ``_warm_basis`` splices it in after ``vecs``. A block with a
-    ``k`` has all three.
     """
 
     vecs: np.ndarray
@@ -226,14 +221,15 @@ class _Step(NamedTuple):
     basis: _Warm | None
 
 
-def _warm_basis(vecs, kept, bound):
-    """The next step's start when the gate admits it: the leading ``kept + _OVERSAMPLE``
-    columns of ``vecs``, with the bound ``(k, beta, diag) = bound()`` (made only then)."""
+def _warm_basis(vecs, k, bound):
+    """The next step's start when the gate admits it: the leading ``k + _OVERSAMPLE``
+    columns of ``vecs``, with ``k`` and ``(beta, diag) = bound()`` (made only then)."""
     p = vecs.shape[0]
-    b = kept + _OVERSAMPLE
+    b = k + _OVERSAMPLE
     if p < _PARTIAL_MIN_P or 8 * b > p or b > vecs.shape[1]:
         return None
-    return _Warm(np.ascontiguousarray(vecs[:, :b]), *bound())
+    beta, diag = bound()
+    return _Warm(np.ascontiguousarray(vecs[:, :b]), k=k, beta=beta, diag=diag)
 
 
 def _seeded_basis(spec, p):
@@ -264,7 +260,8 @@ def _psd_soft_partial(m, tau, basis):
       ``k >= basis.k`` kept Ritz values are eigenvalues of ``m'`` above tau,
       so there are exactly ``basis.k`` of them and every eigenvalue of
       ``P m P`` on the range of ``P`` lies below ``tau - delta``. No
-      factorization is made, and the step hands on the same bound.
+      factorization is made, and the step hands on the same bound, with
+      ``k == basis.k``.
     - one Cholesky factor of ``s I - P m P`` at the margin shift ``s``, the
       midpoint of ``tau - delta`` and ``max(theta_{k+1}, 0)``. Then
       ``lambda_{k+1}(m') < s``, and the step hands on ``(k, s + sqrt(2) delta)``.
@@ -316,7 +313,7 @@ def _psd_soft_partial(m, tau, basis):
     yk, myk = y[:, :k], my[:, :k]
     slack = math.sqrt(2.0) * tol
     # Weyl's bound carried by the basis, else a Cholesky test
-    bound = basis[1:]
+    bound = basis.beta, basis.diag
     bounded = (
         basis.k is not None
         and k >= basis.k
@@ -331,7 +328,7 @@ def _psd_soft_partial(m, tau, basis):
 
 
 def _margin_bound(m, yk, myk, limit, floor, slack):
-    """The bound ``(k, s + slack, diag(m))`` if ``s I - P m P`` has a Cholesky factor at
+    """The bound ``(s + slack, diag(m))`` if ``s I - P m P`` has a Cholesky factor at
     the margin shift ``s``, the midpoint of ``limit`` and ``floor``; else None, with no
     factorization made when ``s >= limit``. ``P = I - yk yk^T``, and ``myk = m yk``.
     """
@@ -348,7 +345,7 @@ def _margin_bound(m, yk, myk, limit, floor, slack):
         np.linalg.cholesky(a)
     except np.linalg.LinAlgError:  # the margin test fails at s
         return None
-    return yk.shape[1], s + slack, np.diagonal(m).copy()
+    return s + slack, np.diagonal(m).copy()
 
 
 def _prox_with_spectrum(spec, m, basis=None):
@@ -380,7 +377,7 @@ def _prox_with_spectrum(spec, m, basis=None):
     k = w.size
 
     def bound():
-        return k, float(vals[k]) + _EIGH_ERR * m.shape[0] * _fro(m), np.diagonal(m).copy()
+        return float(vals[k]) + _EIGH_ERR * m.shape[0] * _fro(m), np.diagonal(m).copy()
 
     return L, w, _Step(False, _warm_basis(vecs, k, bound))
 

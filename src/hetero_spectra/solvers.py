@@ -1,11 +1,12 @@
 """Solvers for the decomposition of a covariance into low-rank plus diagonal.
 
-Every method runs one driver, ``_run``, that repeats one round, ``_round``.
-A round takes the spectral step ``L = prox(sigma - D)`` at a checked
-diagonal and the exact refit ``D = pdiag(sigma - L)``. The driver checks
-the objective, records the trace, tests the stop rule and starts the next
-round from the refit. :func:`alternating_solve` is its public form. A
-method is the choice of prox, start and stop:
+Every method runs one driver, ``_run``, that repeats one round: the step
+``L = prox(sigma - D)`` at a checked diagonal, ``_round``, and the exact
+refit ``D = pdiag(sigma - L)``, ``_refit``. The driver checks the
+objective, records the trace, tests the stop rule and starts the next round
+from the refit; it alone re-certifies a partial step that the fit returns.
+:func:`alternating_solve` is its public form. A method is the choice of
+prox, start and stop:
 
     tag        prox             start                 stop
     rmtfa      psd_soft(tau)    D_0 = pdiag(sigma)    tolerance, StopRule()
@@ -180,15 +181,15 @@ def alternating_solve(sigma, prox, d0=None, stop=None, keep_iterates=False):
     the objective in one block, so the recorded objective never increases.
 
     The arguments are checked once, on entry. ``D`` is held as its length-p
-    diagonal. Each round, ``_round``, calls the unchecked spectral step of
-    :mod:`hetero_spectra.shrinkage`, which assumes a finite, exactly
-    symmetric matrix, and refits ``D``. ``sigma - D`` is exactly symmetric by
-    construction and its off-diagonal entries are ``sigma``'s, so the round
-    checks only its diagonal for finiteness; a non-finite entry raises
-    ``ValueError``. The driver, ``_run``, checks each round's objective,
-    records the trace and tests the stop rule; it raises ``ValueError`` too
-    for a round whose objective or residual is not finite, as when the
-    input's scale overflows the norms.
+    diagonal. A round is a step and a refit. The step, ``_round``, calls the
+    unchecked spectral step of :mod:`hetero_spectra.shrinkage`, which assumes
+    a finite, exactly symmetric matrix; the refit, ``_refit``, refits ``D``.
+    ``sigma - D`` is exactly symmetric by construction and its off-diagonal
+    entries are ``sigma``'s, so the step checks only its diagonal for
+    finiteness; a non-finite entry raises ``ValueError``. The driver,
+    ``_run``, checks each round's objective, records the trace and tests the
+    stop rule; it raises ``ValueError`` too for a round whose objective or
+    residual is not finite, as when the input's scale overflows the norms.
 
     For ``psd_soft`` at large p with few kept eigenpairs, every iteration
     may take the certified partial-spectrum step of
@@ -198,9 +199,9 @@ def alternating_solve(sigma, prox, d0=None, stop=None, keep_iterates=False):
     at a margin shift, else it runs the full eigensolve. The last
     iteration is always a full-eigensolve step, so a fit whose partial
     steps all certify makes that one full eigensolve.
-    When the stop rule fires on a partial step (or the cap is reached),
-    that step is redone with the full operator on the same ``sigma - D``,
-    ``D`` is refitted from it and the stop rule is tested again. The
+    When the stop rule fires on a partial step (or the cap is reached), the
+    driver takes that step again with the full operator on the same
+    ``sigma - D``, refits ``D`` from it and tests the stop rule again. The
     returned pair and the trace's last row therefore come from the full
     operator.
 
@@ -235,41 +236,38 @@ def alternating_solve(sigma, prox, d0=None, stop=None, keep_iterates=False):
     )
 
 
-def _round(op, sigma, prox, M, d, basis, L_prev, tol, last):
-    """One round at ``d``: ``L = prox(sigma - diag(d))``, built in ``M``, and the refit of ``d``.
-
-    A partial step from ``basis`` that the fit would return (``resid = ||L - L_prev||_F <=
-    tol``, or the ``last`` round) is redone with the full operator. Returns ``(L, kept,
-    step, partial, d, resid, psi, objective)``, with ``partial`` from the first attempt."""
+def _round(op, sigma, prox, M, d, basis):
+    """A round's step: ``(L, kept, step)`` of ``L = prox(sigma - diag(d))``, built in ``M``,
+    from ``basis``. It checks the diagonal it writes; it never redoes the step."""
     m_diag = M.reshape(-1)[:: len(M) + 1]
     np.subtract(sigma.diagonal(), d, out=m_diag)
     if not np.isfinite(m_diag).all():
         raise ValueError(f"{op}: sigma - D has non-finite entries")
-    L, kept, step = _prox_with_spectrum(prox, M, basis)
-    partial = step.partial
-    resid = _fro(L - L_prev)
-    if partial and (resid <= tol or last):
-        # re-certify the step with the full operator on the same M
-        L, kept, step = _prox_with_spectrum(prox, M)
-        resid = _fro(L - L_prev)
+    return _prox_with_spectrum(prox, M, basis)
+
+
+def _refit(sigma, prox, L, kept):
+    """A round's refit: ``(d, psi, objective)`` of ``D = pdiag(sigma - L)`` at the step ``L``."""
     # C order: the diagonal view writes into R, summed as poffdiag's C-order copy
     R = np.subtract(sigma, L, order="C")
     r_diag = R.reshape(-1)[:: len(R) + 1]
     d = r_diag.copy()
     r_diag[:] = 0.0  # R is now poffdiag(sigma - L)
     psi = float((R**2).sum())
-    return L, kept, step, partial, d, resid, psi, _penalty(prox, kept) + 0.5 * psi
+    return d, psi, _penalty(prox, kept) + 0.5 * psi
 
 
 def _run(op, sigma, prox, d, rel_tol, max_iter, trace):
-    """The driver: :func:`_round` from the diagonal ``d``, then from each round's refit.
+    """The driver: rounds of :func:`_round` and :func:`_refit` from ``d``, then each refit.
 
     ``sigma`` must be checked, ``d`` a finite length-p vector and, for the rank kinds,
     ``prox.r <= p``. Returns the final ``(L, d)``. It stops by the :class:`StopRule` test
     on ``rel_tol`` and ``max_iter``; a fixed budget is ``rel_tol = 0``, which stops early
-    only at an exact fixed point and counts as converged. Each round's objective is
-    checked against the previous one; errors name ``op``. The run appends to ``trace`` a
-    row per round, its round count to ``iterations``, its partial-step counts, and
+    only at an exact fixed point and counts as converged. It alone re-certifies: a partial
+    step the fit would return (it passes the stop test, or the cap is reached) is taken
+    again with the full operator at the same ``d``. Each round's objective is checked
+    against the previous one; errors name ``op``. The run appends to ``trace`` a row per
+    round, its round count to ``iterations``, its first steps' partial counts, and
     ``stop_reason``, ``kept`` and ``converged`` from its last round.
     """
     p = sigma.shape[0]
@@ -282,13 +280,17 @@ def _run(op, sigma, prox, d, rel_tol, max_iter, trace):
     basis = _seeded_basis(prox, p)
     for k in range(1, max_iter + 1):
         tol = rel_tol * max(scale, prev_norm)
-        L, kept, step, partial, d, resid, psi, objective = _round(
-            op, sigma, prox, M, d, basis, L_prev, tol, k == max_iter
-        )
+        L, kept, step = _round(op, sigma, prox, M, d, basis)
+        resid = _fro(L - L_prev)
         if basis is not None:
-            trace.partial_accepted += partial
-            trace.partial_fallbacks += not partial
+            trace.partial_accepted += step.partial
+            trace.partial_fallbacks += not step.partial
+        if step.partial and (resid <= tol or k == max_iter):
+            # the fit returns this step: re-certify it with the full operator
+            L, kept, step = _round(op, sigma, prox, M, d, None)
+            resid = _fro(L - L_prev)
         basis = step.basis
+        d, psi, objective = _refit(sigma, prox, L, kept)
         # an overflowed norm makes the tolerance test meaningless
         if not (math.isfinite(objective) and math.isfinite(resid)):
             raise ValueError(

@@ -304,22 +304,24 @@ def test_partial_spectrum_path_matches_full_path(case, monkeypatch):
     assert _numerical_rank(trace.kept) == numerical_rank_sym(dec.L) > 0
 
 
-@pytest.mark.parametrize(
-    "stop, reason",
-    [(StopRule(), "converged"), (StopRule(max_iter=3), "max_iter")],
-    ids=["converged", "capped"],
-)
-def test_returned_pair_and_last_row_come_from_the_full_operator(stop, reason):
+@pytest.mark.parametrize("case", ["converged", "capped", "warm"])
+def test_returned_pair_and_last_row_come_from_the_full_operator(case):
     # every step here is partial, so the last one, at convergence or at the
-    # cap, is redone with the full operator and its residual recomputed
+    # cap, is redone with the full operator and its residual recomputed; the
+    # warm case is the plain finish from the diagonal of a 3-round fit
     sigma, tau = factor_sample_cov(61, 300)
-    dec, trace = rmtfa(sigma, tau, stop=stop, keep_iterates=True)
-    assert trace.stop_reason == reason
+    capped = StopRule(max_iter=3)
+    d0 = rmtfa(sigma, tau, stop=capped)[0].D if case == "warm" else None
+    dec, trace = rmtfa(
+        sigma, tau, stop=capped if case == "capped" else None, d0=d0, keep_iterates=True
+    )
+    assert trace.stop_reason == ("max_iter" if case == "capped" else "converged")
     assert trace.partial_accepted == trace.iterations
     m_last = sigma.copy()
     np.fill_diagonal(m_last, np.diagonal(sigma) - np.diagonal(sigma - trace.iterates[-2]))
     assert np.array_equal(dec.L, soft_threshold_psd(m_last, tau))
     assert trace.fixed_point_residual[-1] == np.linalg.norm(dec.L - trace.iterates[-2])
+    assert np.array_equal(dec.D, pdiag(sigma - dec.L))
 
 
 def _assert_same_solve(got, want):
@@ -594,7 +596,7 @@ def test_partial_spectrum_does_not_give_up_on_a_far_start_blocks_first_rate(p, s
     m = poffdiag(sigma)
     full_L, full_kept, full_step = shrinkage._prox_with_spectrum(spec, m)
     block = np.linalg.qr(np.random.default_rng(5).standard_normal((p, 16)))[0]
-    warm = shrinkage._Warm(block, *full_step.basis[1:])
+    warm = full_step.basis._replace(vecs=block)
     L, kept, step = shrinkage._prox_with_spectrum(spec, m, warm)
     assert step.partial and kept.size == full_kept.size == 5
     assert np.linalg.norm(L - full_L) <= math.sqrt(2) * shrinkage._PARTIAL_TOL * np.linalg.norm(m)
